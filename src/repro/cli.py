@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import signal
 import sys
 import threading
 import time
@@ -436,21 +437,58 @@ def _command_serve(args, out) -> int:
     if args.wal_dir is not None:
         state = "recovered existing catalog" if recovered else "fresh log"
         out.write(f"durability: WAL at {args.wal_dir} ({state})\n")
-    if hasattr(out, "flush"):
-        out.flush()
-    if args.duration is not None:
-        server.start()
-        time.sleep(args.duration)
-        server.stop()
+
+    def teardown() -> None:
+        server.stop()  # also drains the ingest pipeline into the store
         store.close()
-        return 0
-    try:  # pragma: no cover - interactive foreground mode
-        with contextlib.suppress(KeyboardInterrupt):
-            server.serve_forever()
-    finally:  # pragma: no cover
-        server.stop()
-        store.close()
-    return 0  # pragma: no cover
+
+    return _serve(server, args.duration, teardown, out)
+
+
+def _raise_interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
+@contextlib.contextmanager
+def _sigterm_interrupts():
+    """Make SIGTERM raise :exc:`KeyboardInterrupt`, as SIGINT does, inside the block.
+
+    Only the main thread receives signals and may install handlers; on any
+    other thread (tests call :func:`main` from one) the block runs unchanged.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _raise_interrupt)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _serve(server, duration: float | None, teardown: Callable[[], None], out) -> int:
+    """The serving loop both ``serve`` commands share.
+
+    Serves for ``duration`` seconds, or in the foreground until SIGINT or
+    SIGTERM, then runs ``teardown`` whatever ended the serving: buffered
+    ingest is drained, worker processes are stopped and WALs are closed.
+    An interrupt during ``duration`` propagates once the teardown is done.
+    """
+    with _sigterm_interrupts():
+        # Flushed only once SIGTERM is handled: a caller that signals as
+        # soon as it reads the banner must still get the teardown.
+        if hasattr(out, "flush"):
+            out.flush()
+        try:
+            if duration is None:
+                with contextlib.suppress(KeyboardInterrupt):
+                    server.serve_forever()
+            else:
+                server.start()
+                time.sleep(duration)
+        finally:
+            teardown()
+    return 0
 
 
 def _parse_partition_spec(spec: str):
@@ -602,40 +640,15 @@ def _command_serve_cluster(args, out) -> int:
         if args.slow_request_ms is not None:
             detail += f", slow-request log above {args.slow_request_ms:g} ms"
         out.write(detail + "\n")
-    if hasattr(out, "flush"):
-        out.flush()
 
-    # Idempotent teardown: the --duration finally block, the serve_forever
-    # finally block and any racing signal handler can each call this without
-    # double-closing sockets, the fan-out pool, the fleet or the WALs.
-    shutdown_done = threading.Event()
-
-    def shutdown() -> None:
-        if shutdown_done.is_set():
-            return
-        shutdown_done.set()
+    def teardown() -> None:
         server.stop()  # also closes the coordinator's fan-out pool
         if supervisor is not None:
             supervisor.close()
         for store in stores:
             store.close()
 
-    if args.duration is not None:
-        server.start()
-        try:
-            # The finally guarantees teardown even when the sleep is cut
-            # short (KeyboardInterrupt, test harness timeouts): no leaked
-            # fan-out executor threads, worker processes or WAL handles.
-            time.sleep(args.duration)
-        finally:
-            shutdown()
-        return 0
-    try:  # pragma: no cover - interactive foreground mode
-        with contextlib.suppress(KeyboardInterrupt):
-            server.serve_forever()
-    finally:  # pragma: no cover
-        shutdown()
-    return 0  # pragma: no cover
+    return _serve(server, args.duration, teardown, out)
 
 
 def format_store_stats(attributes) -> str:

@@ -13,8 +13,10 @@ This package is that serving layer:
   vectorised ``insert_many`` path on size or time triggers;
 * :class:`~repro.service.server.StatisticsServer` /
   :class:`~repro.service.client.StatisticsClient` -- a stdlib-only JSON HTTP
-  API (``ThreadingHTTPServer``) exposing create / ingest / estimate /
-  snapshot / restore, and the matching client;
+  API exposing create / ingest / estimate / snapshot / restore, and the
+  matching client; the server runs on
+  :class:`~repro.service.server.EdgeServer`, the one HTTP edge the cluster
+  server shares;
 * :class:`~repro.service.wal.WriteAheadLog` /
   :class:`~repro.service.wal.DurabilityConfig` -- opt-in crash durability:
   mutations are logged before they are applied, periodic compaction rewrites

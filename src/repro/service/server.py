@@ -1,35 +1,50 @@
-"""Stdlib-only JSON HTTP server for the statistics service.
+"""Stdlib-only JSON HTTP edge, and the statistics service served through it.
 
-Exposes a :class:`~repro.service.store.HistogramStore` over HTTP using
-``http.server.ThreadingHTTPServer`` -- one thread per connection, which is
-exactly the concurrency shape the store's per-attribute locking is built for.
-No third-party dependencies.
+:class:`EdgeServer` and :class:`EdgeHandler` are the one HTTP edge both
+server kinds run on: a ``http.server.ThreadingHTTPServer`` (one thread per
+connection), body parsing, the error mapping, request metrics and tracing,
+the ``/metrics``, ``/profile`` and estimate routes, and the start / stop
+lifecycle.  :class:`StatisticsServer` puts a
+:class:`~repro.service.store.HistogramStore` behind it and
+:class:`~repro.cluster.server.ClusterServer` a cluster coordinator; each
+kind adds only its own routes.  No third-party dependencies.
 
-Routes (all payloads JSON):
+Routes (all payloads JSON).  ``cluster`` rows are served by
+:class:`~repro.cluster.server.ClusterServer` only; its bodies for the shared
+routes also carry cluster fields (``per_shard``, ``merged``,
+``partitioned``):
 
-====== ================================== ===========================================
-Method Path                               Meaning
-====== ================================== ===========================================
-GET    /health                            liveness + attribute count
-GET    /metrics                           Prometheus text exposition (when enabled)
-GET    /stats                             stats of every attribute (+ pipeline counters)
-GET    /attributes                        same as /stats
-POST   /attributes                        create an attribute
-GET    /attributes/<name>                 stats of one attribute
-DELETE /attributes/<name>                 drop an attribute
-POST   /attributes/<name>/ingest          {"insert": [..], "delete": [..]}
-POST   /attributes/<name>/estimate        {"queries": [{"op": ...}, ...]}
-GET    /attributes/<name>/estimate        single query via query string
-GET    /attributes/<name>/snapshot        full serialised state
-POST   /attributes/<name>/restore         restore from a snapshot payload
-====== ================================== ===========================================
+======= ====== ================================== ==========================================
+Kind    Method Path                               Meaning
+======= ====== ================================== ==========================================
+both    GET    /health                            liveness + attribute (and shard) counts
+both    GET    /metrics                           Prometheus text exposition (when enabled)
+both    GET    /profile                           hot-path attribution (when profiling)
+both    GET    /stats                             stats of every attribute (+ pipeline counters)
+both    GET    /attributes                        same as /stats
+both    POST   /attributes                        create an attribute
+both    GET    /attributes/<name>                 stats of one attribute
+both    DELETE /attributes/<name>                 drop an attribute
+both    POST   /attributes/<name>/ingest          {"insert": [..], "delete": [..]}
+both    POST   /attributes/<name>/estimate        {"queries": [{"op": ...}, ...]}
+both    GET    /attributes/<name>/estimate        single query via query string
+both    GET    /attributes/<name>/snapshot        full serialised state
+both    POST   /attributes/<name>/restore         restore from a snapshot payload
+cluster GET    /cluster/stats                     per-shard stats, placement, merge cache
+cluster POST   /cluster/ingest                    {"items": {<name>: [..] or {"insert", "delete"}}}
+cluster POST   /attributes/<name>/rebalance       {"shard": <id>} -- move the attribute
+cluster POST   /shards/<id>/drain                 move everything off one shard
+cluster POST   /shards/<id>/resync                re-seed a recovered shard's replicas
+======= ====== ================================== ==========================================
 
-Estimate batches are evaluated under one store lock acquisition
-(:meth:`HistogramStore.query`), so one response is always internally
-consistent.  When the server is constructed with an
-:class:`~repro.service.ingest.IngestPipeline`, ingest requests are buffered
-through it (the response reports ``"buffered": true``); otherwise they are
-applied synchronously before the response is sent.
+Errors map the same way on both kinds: 400 for a malformed request, 404
+(with the structured ``name`` field) for an unknown attribute, 409 for a
+duplicate create and 503 (with ``shard``) for an unreachable shard.  An
+estimate batch is answered from one published snapshot without taking a
+lock, so one response is always internally consistent.  When the service is
+constructed with an :class:`~repro.service.ingest.IngestPipeline`, ingest
+requests are buffered through it (202, ``"buffered": true``); otherwise they
+are applied synchronously before the response is sent.
 """
 
 from __future__ import annotations
@@ -45,6 +60,7 @@ from ..exceptions import (
     ConfigurationError,
     DuplicateAttributeError,
     HistogramError,
+    ShardUnavailableError,
     UnknownAttributeError,
 )
 from ..obs.process import ProcessTelemetry
@@ -59,32 +75,32 @@ __all__ = ["StatisticsServer"]
 #: The exposition content type Prometheus scrapers expect.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: A route's answer: HTTP status and JSON body.
+Reply = tuple[int, dict[str, Any]]
 
-class _ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests to the owning server's store."""
 
-    server_version = "repro-statistics/1.0"
+class EdgeHandler(BaseHTTPRequestHandler):
+    """HTTP plumbing shared by both server kinds.
+
+    Subclasses answer their own routes in :meth:`_backend_route`; everything
+    else -- parsing, the error mapping, tracing, ``/metrics``, ``/profile``
+    and the estimate routes -- lives here once.
+    """
+
     protocol_version = "HTTP/1.1"
 
-    # Set by StatisticsServer when building the handler class.
-    store: HistogramStore
-    pipeline: IngestPipeline | None = None
-    quiet: bool = True
-    metrics: MetricsRegistry | None = None
-    observer: RequestObserver | None = None
-    process_telemetry: ProcessTelemetry | None = None
-    profiler: SamplingProfiler | None = None
+    # Set by EdgeServer when binding the handler class.
+    edge: EdgeServer
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if not self.quiet:  # pragma: no cover - debugging aid
+        if not self.edge.quiet:  # pragma: no cover - debugging aid
             super().log_message(format, *args)
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
     def _send_json(self, status: int, payload: dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_body(status, body, "application/json")
+        self._send_body(status, json.dumps(payload).encode("utf-8"), "application/json")
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
         self._send_body(status, text.encode("utf-8"), content_type)
@@ -104,25 +120,28 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> dict[str, Any]:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            # rfile.read(-1) would block until the client closes the socket;
+            # the body's framing is unknown, so the connection cannot be reused.
+            self.close_connection = True
+            raise ValueError("Content-Length must not be negative")
         if length == 0:
             return {}
-        raw = self.rfile.read(length)
-        payload = json.loads(raw.decode("utf-8"))
+        payload = json.loads(self.rfile.read(length).decode("utf-8"))
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         return payload
 
     def _route(self) -> tuple[str, ...]:
         parsed = urlparse(self.path)
-        parts = tuple(unquote(part) for part in parsed.path.split("/") if part)
-        return parts
+        return tuple(unquote(part) for part in parsed.path.split("/") if part)
 
     def _query_params(self) -> dict[str, str]:
         parsed = urlparse(self.path)
         return {key: values[-1] for key, values in parse_qs(parsed.query).items()}
 
     def _handle(self, method: str) -> None:
-        observer = self.observer
+        observer = self.edge.observer
         trace = None
         start = 0.0
         self._status_sent = 0
@@ -132,8 +151,10 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             if trace is not None:
                 self._trace_id = trace.trace_id
             start = time.perf_counter()
-        # use_trace(None) is a no-op context, so the untraced path pays only
-        # one threading.local store/restore.
+        # The trace is active for the whole dispatch, so coordinator fan-out
+        # legs (which capture it before crossing into the thread pool) carry
+        # the same id down to every shard request.  use_trace(None) is a
+        # no-op context: the untraced path pays one threading.local swap.
         with use_trace(trace):
             self._handle_inner(method)
         if observer is not None:
@@ -159,6 +180,8 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": str(error), "name": error.name})
         except DuplicateAttributeError as error:
             self._send_json(409, {"error": str(error)})
+        except ShardUnavailableError as error:
+            self._send_json(503, {"error": str(error), "shard": error.shard_id})
         except (HistogramError, KeyError, TypeError, ValueError) as error:
             self._send_json(400, {"error": f"{type(error).__name__}: {error}"})
         except Exception as error:  # pragma: no cover - defensive
@@ -177,28 +200,209 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     # routing
     # ------------------------------------------------------------------
     def _dispatch(self, method: str, route: tuple[str, ...], payload: dict[str, Any]) -> None:
-        store = self.store
-        if route == ("health",) and method == "GET":
-            self._send_json(200, {"status": "ok", "attributes": len(store)})
-            return
-        if route == ("metrics",) and method == "GET":
-            if self.metrics is None:
-                self._send_json(404, {"error": "metrics are not enabled on this server"})
-            else:
-                if self.process_telemetry is not None:
+        edge = self.edge
+        reply: Reply | None
+        is_estimate = len(route) == 3 and route[0] == "attributes" and route[2] == "estimate"
+        if is_estimate and method in ("GET", "POST"):
+            reply = self._estimate(method, route[1], payload)
+        elif route == ("metrics",) and method == "GET":
+            if edge.metrics is not None:
+                if edge.telemetry is not None:
                     # Refresh the process vitals gauges (RSS/GC/threads/
                     # uptime) so every scrape carries current values.
-                    self.process_telemetry.update()
-                self._send_text(200, self.metrics.render(), METRICS_CONTENT_TYPE)
-            return
-        if route == ("profile",) and method == "GET":
-            if self.profiler is None:
-                self._send_json(
-                    404, {"error": "profiling is not enabled on this server"}
-                )
+                    edge.telemetry.update()
+                self._send_text(200, edge.metrics.render(), METRICS_CONTENT_TYPE)
+                return
+            reply = 404, {"error": "metrics are not enabled on this server"}
+        elif route == ("profile",) and method == "GET":
+            if edge.profiler is None:
+                reply = 404, {"error": "profiling is not enabled on this server"}
             else:
-                self._send_json(200, self.profiler.attribution())
+                reply = 200, edge.profiler.attribution()
+        else:
+            reply = self._backend_route(method, route, payload)
+        if reply is None:
+            reply = 404, {"error": f"no route for {method} {self.path}"}
+        self._send_json(*reply)
+
+    def _estimate(self, method: str, name: str, payload: dict[str, Any]) -> Reply:
+        query = self.edge.backend.query
+        if method == "POST":
+            queries = payload.get("queries")
+            if not isinstance(queries, list):
+                raise ValueError('estimate body must contain a "queries" list')
+            return 200, query(name, queries)
+        single = {
+            key: (value if key == "op" else float(value))
+            for key, value in self._query_params().items()
+        }
+        response = query(name, [single])
+        return 200, {"generation": response["generation"], "result": response["results"][0]}
+
+    def _backend_route(
+        self, method: str, route: tuple[str, ...], payload: dict[str, Any]
+    ) -> Reply | None:
+        """Answer one of the server kind's own routes; ``None`` when none matches."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _create_options(payload: dict[str, Any]) -> dict[str, Any]:
+        """The ``POST /attributes`` fields both kinds' ``create`` accept."""
+        return {
+            "name": payload["name"],
+            "kind": payload.get("kind", "dc"),
+            "memory_kb": float(payload.get("memory_kb", 1.0)),
+            "value_unit": float(payload.get("value_unit", 1.0)),
+            "disk_factor": float(payload.get("disk_factor", 20.0)),
+            "seed": int(payload.get("seed", 0)),
+            "exist_ok": bool(payload.get("exist_ok", False)),
+        }
+
+    @staticmethod
+    def _ingest_lists(payload: dict[str, Any]) -> tuple[list[Any], list[Any]]:
+        """The ``insert`` / ``delete`` arrays of an ingest body."""
+        inserts = payload.get("insert") or []
+        deletes = payload.get("delete") or []
+        if not isinstance(inserts, list) or not isinstance(deletes, list):
+            raise ValueError('"insert" and "delete" must be JSON arrays of numbers')
+        return inserts, deletes
+
+
+class EdgeServer:
+    """The lifecycle both server kinds share: a threaded HTTP server over a backend.
+
+    ``backend`` answers ``query(name, queries)`` and carries the ``metrics``
+    registry the server reports into by default.  Subclasses set
+    :attr:`handler_class`, :attr:`server_label` and :attr:`thread_name`, and
+    hook their own start / stop work into :meth:`_on_start` /
+    :meth:`_on_stop`.
+    """
+
+    handler_class: type[EdgeHandler]
+    server_label: str
+    thread_name: str
+
+    def __init__(
+        self,
+        backend: Any,
+        *,
+        host: str,
+        port: int,
+        quiet: bool,
+        metrics: MetricsRegistry | None,
+        slow_request_ms: float | None,
+        trace: bool,
+        trace_sink: Any | None,
+        profile: bool | float,
+    ) -> None:
+        self.backend = backend
+        self.quiet = quiet
+        # The server reports into the backend's registry by default, so one
+        # scrape covers HTTP, store, WAL, pipeline and fan-out metrics;
+        # tracing or a slow-request threshold forces a registry into existence.
+        registry = metrics if metrics is not None else backend.metrics
+        if registry is None and (trace or slow_request_ms is not None):
+            registry = MetricsRegistry()
+        self.metrics = registry
+        self.observer: RequestObserver | None = None
+        self.telemetry: ProcessTelemetry | None = None
+        if registry is not None:
+            self.observer = RequestObserver(
+                registry,
+                server_label=self.server_label,
+                slow_request_ms=slow_request_ms,
+                trace=trace,
+                sink=trace_sink,
+            )
+            self.telemetry = ProcessTelemetry(registry)
+        # profile=True samples at the default interval; a float is an
+        # explicit sampling interval in seconds.  The profiler runs for the
+        # server's whole lifetime and GET /profile reports the collapsed
+        # hot-path attribution so far.
+        self.profiler: SamplingProfiler | None = None
+        if profile:
+            interval = DEFAULT_SAMPLE_INTERVAL_S if profile is True else float(profile)
+            self.profiler = SamplingProfiler(interval)
+        bound = type(f"_Bound{self.handler_class.__name__}", (self.handler_class,), {"edge": self})
+        self._httpd = ThreadingHTTPServer((host, port), bound)
+        self._httpd.daemon_threads = True
+        self._thread: threading.Thread | None = None
+        self._started = False
+        self._stopped = False
+
+    @property
+    def address(self) -> tuple[str, int]:
+        """The bound ``(host, port)`` pair."""
+        host, port = self._httpd.server_address[:2]
+        return str(host), int(port)
+
+    def _on_start(self) -> None:
+        """Start the kind's own machinery before the first request is served."""
+
+    def _on_stop(self) -> None:
+        """Release the kind's own machinery after the last request was served."""
+
+    def _begin(self) -> None:
+        self._on_start()
+        if self.profiler is not None:
+            self.profiler.start()
+        self._started = True
+
+    def start(self) -> EdgeServer:
+        """Serve requests from a background daemon thread."""
+        if self._thread is None:
+            self._begin()
+            self._thread = threading.Thread(
+                target=self._httpd.serve_forever, name=self.thread_name, daemon=True
+            )
+            self._thread.start()
+        return self
+
+    def serve_forever(self) -> None:
+        """Serve requests on the calling thread until interrupted."""
+        self._begin()
+        self._httpd.serve_forever()
+
+    def stop(self) -> None:
+        """Stop serving, close the socket, then release the kind's machinery.
+
+        Idempotent, and safe on a server that was constructed but never
+        started: ``BaseServer.shutdown`` would block forever waiting for a
+        ``serve_forever`` loop that never ran, so it is only invoked after a
+        start, while the bound socket is always closed.
+        """
+        if self._stopped:
             return
+        self._stopped = True
+        if self._started:
+            self._httpd.shutdown()
+        self._httpd.server_close()
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+        if self.profiler is not None:
+            self.profiler.stop()
+        self._on_stop()
+
+    def __enter__(self) -> EdgeServer:
+        return self.start()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.stop()
+
+
+class _StatisticsHandler(EdgeHandler):
+    """The single-node routes, answered from the server's store."""
+
+    server_version = "repro-statistics/1.0"
+    edge: StatisticsServer
+
+    def _backend_route(
+        self, method: str, route: tuple[str, ...], payload: dict[str, Any]
+    ) -> Reply | None:
+        store = self.edge.store
+        if route == ("health",) and method == "GET":
+            return 200, {"status": "ok", "attributes": len(store)}
         if route in (("stats",), ("attributes",)) and method == "GET":
             body: dict[str, Any] = {
                 "attributes": [stats.to_dict() for stats in store.stats_all()]
@@ -206,86 +410,45 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             # /stats is the operator surface: it also reports the ingest
             # pipeline's lifetime counters (requeued/dropped make the
             # bounded-undercount policy visible).
-            if route == ("stats",) and self.pipeline is not None:
-                body["pipeline"] = self.pipeline.stats
-            self._send_json(200, body)
-            return
+            if route == ("stats",) and self.edge.pipeline is not None:
+                body["pipeline"] = self.edge.pipeline.stats
+            return 200, body
         if route == ("attributes",) and method == "POST":
-            stats = store.create(
-                payload["name"],
-                payload.get("kind", "dc"),
-                memory_kb=float(payload.get("memory_kb", 1.0)),
-                value_unit=float(payload.get("value_unit", 1.0)),
-                disk_factor=float(payload.get("disk_factor", 20.0)),
-                seed=int(payload.get("seed", 0)),
-                exist_ok=bool(payload.get("exist_ok", False)),
-            )
-            self._send_json(201, stats.to_dict())
-            return
+            return 201, store.create(**self._create_options(payload)).to_dict()
         if len(route) == 2 and route[0] == "attributes":
             name = route[1]
             if method == "GET":
-                self._send_json(200, store.stats(name).to_dict())
-                return
+                return 200, store.stats(name).to_dict()
             if method == "DELETE":
                 store.drop(name)
-                self._send_json(200, {"dropped": name})
-                return
+                return 200, {"dropped": name}
         if len(route) == 3 and route[0] == "attributes":
             name, action = route[1], route[2]
             if action == "ingest" and method == "POST":
-                self._ingest(name, payload)
-                return
-            if action == "estimate":
-                if method == "POST":
-                    queries = payload.get("queries")
-                    if not isinstance(queries, list):
-                        raise ValueError('estimate body must contain a "queries" list')
-                    self._send_json(200, store.query(name, queries))
-                    return
-                if method == "GET":
-                    query = {
-                        key: (value if key == "op" else float(value))
-                        for key, value in self._query_params().items()
-                    }
-                    response = store.query(name, [query])
-                    self._send_json(
-                        200,
-                        {"generation": response["generation"],
-                         "result": response["results"][0]},
-                    )
-                    return
+                return self._ingest(name, payload)
             if action == "snapshot" and method == "GET":
-                self._send_json(200, store.snapshot(name))
-                return
+                return 200, store.snapshot(name)
             if action == "restore" and method == "POST":
                 snapshot = payload.get("snapshot", payload)
-                self._send_json(200, store.restore(name, snapshot).to_dict())
-                return
-        self._send_json(404, {"error": f"no route for {method} {self.path}"})
+                return 200, store.restore(name, snapshot).to_dict()
+        return None
 
-    def _ingest(self, name: str, payload: dict[str, Any]) -> None:
-        inserts = payload.get("insert") or []
-        deletes = payload.get("delete") or []
-        if not isinstance(inserts, list) or not isinstance(deletes, list):
-            raise ValueError('"insert" and "delete" must be JSON arrays of numbers')
-        if name not in self.store:
+    def _ingest(self, name: str, payload: dict[str, Any]) -> Reply:
+        inserts, deletes = self._ingest_lists(payload)
+        store, pipeline = self.edge.store, self.edge.pipeline
+        if name not in store:
             raise UnknownAttributeError(name)
-        if self.pipeline is not None:
-            self.pipeline.submit(name, inserts)
-            self.pipeline.submit_delete(name, deletes)
-            self._send_json(
-                202,
-                {
-                    "buffered": True,
-                    "inserted": len(inserts),
-                    "deleted": len(deletes),
-                    "pending": self.pipeline.pending_count(name),
-                },
-            )
-            return
+        if pipeline is not None:
+            pipeline.submit(name, inserts)
+            pipeline.submit_delete(name, deletes)
+            return 202, {
+                "buffered": True,
+                "inserted": len(inserts),
+                "deleted": len(deletes),
+                "pending": pipeline.pending_count(name),
+            }
         try:
-            inserted = self.store.insert(name, inserts)
+            inserted = store.insert(name, inserts)
         except ConfigurationError:
             # Boundary validation rejects the batch before any mutation, so
             # the generic 400 handler is accurate here.
@@ -294,43 +457,32 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             # insert_many cannot report how much of the batch was applied;
             # flag the partial apply and return the new generation so clients
             # know not to blindly retry.
-            self._send_json(
-                400,
-                {
-                    "error": f"{type(error).__name__}: {error}",
-                    "partial": True,
-                    "generation": self.store.stats(name).generation,
-                },
-            )
-            return
+            return 400, {
+                "error": f"{type(error).__name__}: {error}",
+                "partial": True,
+                "generation": store.stats(name).generation,
+            }
         try:
-            deleted = self.store.delete(name, deletes)
+            deleted = store.delete(name, deletes)
         except HistogramError as error:
             # The insert half is already committed; a plain 400 would invite
             # the client to retry the whole batch and double-insert, so the
             # error response reports what was applied.
-            self._send_json(
-                400,
-                {
-                    "error": f"{type(error).__name__}: {error}",
-                    "partial": True,
-                    "inserted": inserted,
-                    "generation": self.store.stats(name).generation,
-                },
-            )
-            return
-        self._send_json(
-            200,
-            {
-                "buffered": False,
+            return 400, {
+                "error": f"{type(error).__name__}: {error}",
+                "partial": True,
                 "inserted": inserted,
-                "deleted": deleted,
-                "generation": self.store.stats(name).generation,
-            },
-        )
+                "generation": store.stats(name).generation,
+            }
+        return 200, {
+            "buffered": False,
+            "inserted": inserted,
+            "deleted": deleted,
+            "generation": store.stats(name).generation,
+        }
 
 
-class StatisticsServer:
+class StatisticsServer(EdgeServer):
     """A threaded HTTP façade over a :class:`HistogramStore`.
 
     ``port=0`` binds an ephemeral port (the default, right for tests); the
@@ -341,6 +493,10 @@ class StatisticsServer:
     Also usable as a context manager: entering starts the server, leaving
     stops it and closes the ingest pipeline (when one was supplied).
     """
+
+    handler_class = _StatisticsHandler
+    server_label = "service"
+    thread_name = "repro-statistics-server"
 
     def __init__(
         self,
@@ -358,103 +514,22 @@ class StatisticsServer:
     ) -> None:
         self.store = store if store is not None else HistogramStore()
         self.pipeline = pipeline
-        # The server reports into the store's registry by default, so one
-        # scrape covers HTTP, store, WAL and pipeline metrics; tracing or a
-        # slow-request threshold forces a registry into existence.
-        registry = metrics if metrics is not None else self.store.metrics
-        if registry is None and (trace or slow_request_ms is not None):
-            registry = MetricsRegistry()
-        self.metrics = registry
-        observer = None
-        if registry is not None:
-            observer = RequestObserver(
-                registry,
-                server_label="service",
-                slow_request_ms=slow_request_ms,
-                trace=trace,
-                sink=trace_sink,
-            )
-        # profile=True samples at the default interval; a float is an
-        # explicit sampling interval in seconds.  The profiler runs for the
-        # server's whole lifetime and GET /profile reports the collapsed
-        # hot-path attribution so far.
-        self.profiler: SamplingProfiler | None = None
-        if profile:
-            interval = (
-                DEFAULT_SAMPLE_INTERVAL_S if profile is True else float(profile)
-            )
-            self.profiler = SamplingProfiler(interval)
-        telemetry = ProcessTelemetry(registry) if registry is not None else None
-        handler = type(
-            "_BoundServiceRequestHandler",
-            (_ServiceRequestHandler,),
-            {
-                "store": self.store,
-                "pipeline": pipeline,
-                "quiet": quiet,
-                "metrics": registry,
-                "observer": observer,
-                "process_telemetry": telemetry,
-                "profiler": self.profiler,
-            },
+        super().__init__(
+            self.store,
+            host=host,
+            port=port,
+            quiet=quiet,
+            metrics=metrics,
+            slow_request_ms=slow_request_ms,
+            trace=trace,
+            trace_sink=trace_sink,
+            profile=profile,
         )
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._thread: threading.Thread | None = None
-        self._started = False
 
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` pair."""
-        host, port = self._httpd.server_address[:2]
-        return str(host), int(port)
-
-    def start(self) -> StatisticsServer:
-        """Serve requests from a background daemon thread."""
-        if self._thread is None:
-            if self.pipeline is not None:
-                self.pipeline.start()
-            if self.profiler is not None:
-                self.profiler.start()
-            self._started = True
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name="repro-statistics-server",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve requests on the calling thread until interrupted."""
+    def _on_start(self) -> None:
         if self.pipeline is not None:
             self.pipeline.start()
-        if self.profiler is not None:
-            self.profiler.start()
-        self._started = True
-        self._httpd.serve_forever()
 
-    def stop(self) -> None:
-        """Stop serving, close the socket and drain the ingest pipeline.
-
-        Safe to call on a server that was constructed but never started:
-        ``BaseServer.shutdown`` would block forever waiting for a
-        ``serve_forever`` loop that never ran, so it is only invoked after a
-        start, while the bound socket is always closed.
-        """
-        if self._started:
-            self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        if self.profiler is not None:
-            self.profiler.stop()
+    def _on_stop(self) -> None:
         if self.pipeline is not None:
             self.pipeline.close()
-
-    def __enter__(self) -> StatisticsServer:
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()

@@ -1,9 +1,16 @@
 """Unit tests for the repro-experiments command-line interface."""
 
 import io
+import os
+import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import available_experiments, main
 
 
@@ -126,6 +133,146 @@ class TestServeCommand:
         code, output = _run(["serve", "--port", "0", "-a", "a:b:c:d", "--duration", "0"])
         assert code == 2
         assert "invalid attribute spec" in output
+
+    def test_serve_interrupt_during_duration_tears_down(self, monkeypatch, tmp_path):
+        """Ctrl-C while sleeping out ``--duration`` still stops the server
+        thread and the flusher, and drains acknowledged buffered ingest into
+        the WAL."""
+        import threading
+        import time as time_module
+
+        from repro.service import HistogramStore, StatisticsClient
+
+        real_sleep = time_module.sleep
+        sentinel = 987.0
+        out = io.StringIO()
+        acknowledged = []
+
+        def ingest_then_interrupt(seconds):
+            if seconds != sentinel:
+                real_sleep(seconds)
+                return
+            port = int(re.search(r"http://127\.0\.0\.1:(\d+)", out.getvalue()).group(1))
+            client = StatisticsClient("127.0.0.1", port)
+            acknowledged.append(client.ingest("age", insert=[float(v) for v in range(100)]))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.cli.time.sleep", ingest_then_interrupt)
+        before = set(threading.enumerate())
+        with pytest.raises(KeyboardInterrupt):
+            main(
+                ["serve", "--port", "0", "-a", "age:dc:0.5", "--flush-interval", "30",
+                 "--wal-dir", str(tmp_path / "wal"), "--duration", str(sentinel)],
+                out=out,
+            )
+        leaked = [
+            thread.name
+            for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith("repro-")
+        ]
+        assert leaked == []
+        assert [response["buffered"] for response in acknowledged] == [True]
+        store = HistogramStore.recover(tmp_path / "wal")
+        try:
+            assert store.total_count("age") == pytest.approx(100.0)
+        finally:
+            store.close()
+
+
+def _alive(pid):
+    """True while ``pid`` exists and is not a zombie (Linux ``/proc``)."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return False
+    return "\nState:\tZ" not in status
+
+
+class TestTerminateSignal:
+    """``kill -TERM`` on a real server process tears down like Ctrl-C."""
+
+    @staticmethod
+    def _terminate(args, ingest):
+        """Launch ``python -m repro.cli``, ingest through ``ingest(port)``, then
+        SIGTERM it; returns the exit code and the worker PIDs still alive."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *args, "--port", "0"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+        )
+        workers = []
+        try:
+            banner = ""
+            for line in process.stdout:
+                banner += line
+                if line.startswith("attributes:"):
+                    break
+            workers = [int(pid) for pid in re.findall(r"\(pid (\d+),", banner)]
+            ingest(int(re.search(r"http://127\.0\.0\.1:(\d+)", banner).group(1)))
+            process.send_signal(signal.SIGTERM)
+            code = process.wait(timeout=60)
+            return code, [pid for pid in workers if _alive(pid)]
+        finally:
+            if process.poll() is None:
+                process.kill()
+            process.wait()
+            process.stdout.close()
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_serve_drains_acknowledged_ingest_into_the_wal(self, tmp_path):
+        from repro.service import HistogramStore, StatisticsClient
+
+        wal = tmp_path / "wal"
+
+        def ingest(port):
+            response = StatisticsClient("127.0.0.1", port).ingest(
+                "age", insert=[float(v) for v in range(100)]
+            )
+            assert response["buffered"] is True
+
+        code, _ = self._terminate(
+            ["serve", "-a", "age:dc:0.5", "--flush-interval", "30", "--wal-dir", str(wal)],
+            ingest,
+        )
+        assert code == 0
+        store = HistogramStore.recover(wal)
+        try:
+            assert store.total_count("age") == pytest.approx(100.0)
+        finally:
+            store.close()
+
+    def test_serve_cluster_stops_workers_and_keeps_their_wals(self, tmp_path):
+        from repro.cluster import ClusterClient
+        from repro.service import HistogramStore
+
+        wal = tmp_path / "wal"
+
+        def ingest(port):
+            client = ClusterClient("127.0.0.1", port)
+            assert client.ingest("age", insert=[float(v) for v in range(60)])["inserted"] == 60
+            assert client.ingest("price", insert=[float(v) for v in range(40)])["inserted"] == 40
+
+        code, survivors = self._terminate(
+            ["serve-cluster", "--spawn-shards", "2", "-a", "age:dc:0.5", "-a", "price:dvo:0.5",
+             "--wal-dir", str(wal)],
+            ingest,
+        )
+        assert code == 0
+        assert survivors == []
+        recovered = {}
+        for shard in ("shard-0", "shard-1"):
+            store = HistogramStore.recover(wal / shard)
+            try:
+                for name in store.names():
+                    recovered[name] = recovered.get(name, 0.0) + store.total_count(name)
+            finally:
+                store.close()
+        assert recovered == {"age": pytest.approx(60.0), "price": pytest.approx(40.0)}
 
 
 class TestStoreStatsCommand:

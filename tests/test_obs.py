@@ -20,9 +20,7 @@ socket I/O while holding an obs lock, would fail these tests.
 
 from __future__ import annotations
 
-import json
 import threading
-import urllib.request
 
 import pytest
 
@@ -38,7 +36,6 @@ from repro import (
 )
 from repro.obs import (
     LATENCY_BUCKETS_S,
-    TRACE_HEADER,
     AccuracySampler,
     MetricsRegistry,
     Trace,
@@ -225,16 +222,6 @@ class TestTracePropagation:
         )
         assert registry.get("repro_cluster_fanout_seconds") is not None
 
-    def test_incoming_header_is_adopted_and_echoed(self):
-        with StatisticsServer(HistogramStore(), trace=True) as server:
-            host, port = server.address
-            request = urllib.request.Request(
-                f"http://{host}:{port}/health", headers={TRACE_HEADER: "deadbeef42"}
-            )
-            with urllib.request.urlopen(request) as response:
-                assert response.headers[TRACE_HEADER] == "deadbeef42"
-                assert json.loads(response.read())["status"] == "ok"
-
 
 # ----------------------------------------------------------------------
 # /metrics exposition + /stats pipeline counters
@@ -261,14 +248,6 @@ class TestMetricsExposition:
         assert samples["repro_pipeline_flushed_values_total"] == 300
         assert samples['repro_http_requests_total{route="/attributes",status="201"}'] >= 1
         assert_not_torn(text)
-
-    def test_metrics_route_404_without_registry(self):
-        with StatisticsServer(HistogramStore()) as server:
-            client = StatisticsClient(*server.address)
-            from repro import ServiceError
-
-            with pytest.raises(ServiceError):
-                client.metrics_text()
 
     def test_stats_route_surfaces_requeue_and_drop_counters(self):
         store = HistogramStore()
