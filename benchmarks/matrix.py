@@ -12,16 +12,13 @@ and records throughput plus latency quantiles pulled from the cell's own
   body with durability off, WAL on, and WAL + fsync-per-batch;
 * ``batch_64`` / ``batch_256`` (plus ``wal_off`` as the 1024 point) --
   pipeline ``max_batch`` sweep;
-* ``shards_1`` / ``shards_2`` / ``shards_4`` -- the cluster scatter-gather
-  scaling body over the emulated per-shard apply engine;
-* ``spawned_shards_1`` / ``spawned_shards_4`` -- the same body against REAL
-  worker processes spawned by the shard supervisor, reached over the
-  persistent binary transport (the only cells where CPU-bound ingest can
-  scale past one core);
-* ``rf_1`` / ``rf_2`` / ``rf_3`` -- replication-factor sweep: the same
-  scatter batch fanned out at N-way replication;
+* ``spawned_shards_1`` / ``spawned_shards_4`` -- the cluster scatter-gather
+  body against REAL worker processes spawned by the shard supervisor,
+  reached over the persistent binary transport (the only cells where
+  CPU-bound ingest can scale past one core);
 * ``read_locked_single`` / ``read_published_single`` -- single-node read
-  ablation under sustained ingest: the pre-RCU locked read path vs the
+  ablation under sustained ingest: the pre-RCU locked read (the batch
+  evaluated under the attribute lock, spelled out in this file) vs the
   lock-free published-snapshot path on one store;
 * ``read_qps_shards_1`` / ``read_qps_shards_4`` -- read QPS under ingest
   through the coordinator over the emulated per-shard serve engines.
@@ -29,9 +26,8 @@ and records throughput plus latency quantiles pulled from the cell's own
 The emitted JSON (one file per host) is **schema-versioned** and stamped
 with a host fingerprint (python version, numpy version, CPU count); derived
 ratios (``wal_overhead``, ``fsync_overhead``, ``batch_scaling``,
-``shard_scaling``, ``spawned_scaling``, ``rf_cost``,
-``read_unlock_speedup``, ``read_scaling``) make the ablation readable at a
-glance.
+``spawned_scaling``, ``read_unlock_speedup``, ``read_scaling``) make the
+ablation readable at a glance.
 
 ``--gate`` diffs the current run against the committed baseline for this
 host's fingerprint (``benchmarks/baselines/<fingerprint>.json``) within
@@ -80,6 +76,7 @@ from repro.obs import (  # noqa: E402
     SamplingProfiler,
 )
 from repro.service import DurabilityConfig, HistogramStore, IngestPipeline  # noqa: E402
+from repro.service.store import evaluate_queries  # noqa: E402
 
 SCHEMA_VERSION = 1
 
@@ -211,36 +208,10 @@ def run_service_cell(config: dict, sizes: dict) -> dict:
     }
 
 
-def run_cluster_scaling_cell(config: dict, sizes: dict) -> dict:
-    """The bench_cluster scatter-gather body (knob: shard count)."""
-    registry = MetricsRegistry()
-    result = bench_cluster.run_scaling_config(
-        config["shards"],
-        sizes["cluster_calls"],
-        sizes["catalog_chunk"],
-        sizes["hot_chunk"],
-        sizes["cluster_writers"],
-        sizes["cluster_readers"],
-        emulate_apply=True,
-        metrics=registry,
-    )
-    quantiles = _quantile_block(registry, "repro_cluster_fanout_seconds", shard="shard-0")
-    return {
-        "ops_per_sec": result["ingest_per_sec"],
-        **quantiles,
-        "detail": {
-            "shards": config["shards"],
-            "ingested_values": result["ingested_values"],
-            "queries_per_sec": result["queries_per_sec"],
-        },
-    }
-
-
 def run_cluster_spawned_cell(config: dict, sizes: dict) -> dict:
-    """The scatter-gather body against REAL spawned worker processes.
+    """The bench_cluster scatter-gather body against REAL spawned workers.
 
-    Same workload as ``cluster_scaling`` with the emulated apply engine
-    replaced by actual OS processes behind the binary transport (knob: how
+    Each shard is an OS process behind the binary transport (knob: how
     many).  On a multi-core host this is the cell where CPU-bound ingest
     scales; on one core it records the transport's honest overhead.
     """
@@ -252,7 +223,6 @@ def run_cluster_spawned_cell(config: dict, sizes: dict) -> dict:
         sizes["hot_chunk"],
         sizes["cluster_writers"],
         sizes["cluster_readers"],
-        emulate_apply=False,
         factory=lambda n: bench_cluster.build_spawned_cluster(n, metrics=registry),
     )
     quantiles = _quantile_block(registry, "repro_cluster_fanout_seconds", shard="shard-0")
@@ -269,61 +239,6 @@ def run_cluster_spawned_cell(config: dict, sizes: dict) -> dict:
     }
 
 
-def run_cluster_rf_cell(config: dict, sizes: dict) -> dict:
-    """Replication-factor sweep: one scatter batch stream at N-way replication.
-
-    Three emulated-apply shards held constant; the knob is how many replicas
-    every write fans out to, so the measured cost is pure replication fan-out.
-    """
-    from repro.cluster import ClusterCoordinator, LocalShard, ShardRouter
-
-    factor = config["replication_factor"]
-    n_calls = sizes["rf_calls"]
-    chunk = sizes["rf_chunk"]
-    registry = MetricsRegistry()
-    shards = [
-        LocalShard(
-            f"shard-{index}",
-            bench_cluster.EmulatedApplyStore(
-                bench_cluster.APPLY_PER_BATCH_S, bench_cluster.APPLY_PER_VALUE_S
-            ),
-        )
-        for index in range(3)
-    ]
-    router = ShardRouter(
-        [shard.shard_id for shard in shards], replication_factor=factor
-    )
-    coordinator = ClusterCoordinator(
-        shards, router=router, max_workers=16, metrics=registry
-    )
-    names = [name for name, _ in bench_cluster.ATTRIBUTE_MIX[:4]]
-    for name in names:
-        coordinator.create(name, "dc", memory_kb=0.5)
-    rng = np.random.default_rng(7)
-    calls = [
-        {name: bench_cluster.stream_values(rng, chunk).tolist() for name in names}
-        for _ in range(n_calls)
-    ]
-    t0 = time.perf_counter()
-    for items in calls:
-        coordinator.ingest_batch(items)
-    elapsed = time.perf_counter() - t0
-    ingested = n_calls * len(names) * chunk
-    total = sum(coordinator.total_count(name) for name in names)
-    if abs(total - ingested) > 1e-6 * ingested:
-        raise AssertionError(f"rf cell lost values: {total} != {ingested}")
-    coordinator.close()
-    return {
-        "ops_per_sec": round(ingested / elapsed, 1),
-        **_quantile_block(registry, "repro_cluster_fanout_seconds", shard="shard-0"),
-        "detail": {
-            "replication_factor": factor,
-            "shards": len(shards),
-            "ingested_values": ingested,
-        },
-    }
-
-
 def run_store_read_cell(config: dict, sizes: dict) -> dict:
     """Single-node read ablation under sustained ingest (knob: read path).
 
@@ -331,10 +246,8 @@ def run_store_read_cell(config: dict, sizes: dict) -> dict:
     pause for the whole window; reader threads tight-loop two-query estimate
     batches.  ``read_path: "published"`` serves from the store's lock-free
     published snapshot (the production ``query`` path); ``read_path:
-    "locked"`` calls the retained ``_query_locked`` fallback, which queues
-    behind every in-flight insert batch on the per-attribute lock -- the
-    pre-RCU behaviour, kept callable precisely so this ablation stays
-    honest.
+    "locked"`` evaluates the batch under the per-attribute lock, so it
+    queues behind every in-flight insert batch -- the pre-RCU behaviour.
     """
     locked = config["read_path"] == "locked"
     duration = sizes["read_duration_s"]
@@ -386,7 +299,9 @@ def run_store_read_cell(config: dict, sizes: dict) -> dict:
                 ]
                 t0 = time.perf_counter()
                 if locked:
-                    store._query_locked("hot", queries)
+                    attribute = store._attribute("hot")
+                    with attribute.lock:
+                        evaluate_queries(attribute.histogram, queries)
                 else:
                     store.query("hot", queries)
                 lat.observe(time.perf_counter() - t0)
@@ -460,14 +375,8 @@ CELLS: dict[str, dict[str, Any]] = {
     "wal_fsync": {"kind": "service", "wal": "fsync", "max_batch": 1024},
     "batch_64": {"kind": "service", "wal": "off", "max_batch": 64},
     "batch_256": {"kind": "service", "wal": "off", "max_batch": 256},
-    "shards_1": {"kind": "cluster_scaling", "shards": 1},
-    "shards_2": {"kind": "cluster_scaling", "shards": 2},
-    "shards_4": {"kind": "cluster_scaling", "shards": 4},
     "spawned_shards_1": {"kind": "cluster_spawned", "shards": 1},
     "spawned_shards_4": {"kind": "cluster_spawned", "shards": 4},
-    "rf_1": {"kind": "cluster_rf", "replication_factor": 1},
-    "rf_2": {"kind": "cluster_rf", "replication_factor": 2},
-    "rf_3": {"kind": "cluster_rf", "replication_factor": 3},
     "read_locked_single": {"kind": "store_read", "read_path": "locked"},
     "read_published_single": {"kind": "store_read", "read_path": "published"},
     "read_qps_shards_1": {"kind": "cluster_read", "shards": 1},
@@ -477,9 +386,7 @@ CELLS: dict[str, dict[str, Any]] = {
 RUNNERS: dict[str, Callable[[dict, dict], dict]] = {
     "histogram": run_histogram_cell,
     "service": run_service_cell,
-    "cluster_scaling": run_cluster_scaling_cell,
     "cluster_spawned": run_cluster_spawned_cell,
-    "cluster_rf": run_cluster_rf_cell,
     "store_read": run_store_read_cell,
     "cluster_read": run_cluster_read_cell,
 }
@@ -490,9 +397,7 @@ DERIVED: dict[str, tuple[str, str]] = {
     "wal_overhead_on_vs_off": ("wal_on", "wal_off"),
     "fsync_overhead_vs_wal_on": ("wal_fsync", "wal_on"),
     "batch_scaling_1024_vs_64": ("wal_off", "batch_64"),
-    "shard_scaling_4_vs_1": ("shards_4", "shards_1"),
     "spawned_scaling_4_vs_1": ("spawned_shards_4", "spawned_shards_1"),
-    "rf_cost_3_vs_1": ("rf_3", "rf_1"),
     "read_unlock_speedup": ("read_published_single", "read_locked_single"),
     "read_scaling_4_vs_1": ("read_qps_shards_4", "read_qps_shards_1"),
 }
@@ -503,14 +408,11 @@ def matrix_sizes(smoke: bool) -> dict[str, float]:
         return {
             "hist_values": 20_000,
             "service_values": 6_000,
-            "cluster_calls": 8,
             "catalog_chunk": 128,
             "hot_chunk": 512,
             "cluster_writers": 2,
             "cluster_readers": 1,
             "spawned_calls": 8,
-            "rf_calls": 8,
-            "rf_chunk": 256,
             "repeats": 2,
             "read_duration_s": 0.5,
             "read_write_chunk": 4_000,
@@ -520,14 +422,11 @@ def matrix_sizes(smoke: bool) -> dict[str, float]:
     return {
         "hist_values": 80_000,
         "service_values": 30_000,
-        "cluster_calls": 32,
         "catalog_chunk": 256,
         "hot_chunk": 1024,
         "cluster_writers": 3,
         "cluster_readers": 2,
         "spawned_calls": 24,
-        "rf_calls": 24,
-        "rf_chunk": 512,
         "repeats": 3,
         "read_duration_s": 1.5,
         "read_write_chunk": 4_000,

@@ -115,27 +115,27 @@ def main() -> None:
 
     replicas = [LocalShard(f"replica-{index}") for index in range(3)]
     router = ShardRouter([s.shard_id for s in replicas], replication_factor=2)
-    with ClusterCoordinator(replicas, router=router) as replicated:
-        replicated.create("latency", "dc", memory_kb=1.0)
-        replicated.ingest("latency", insert=rng.exponential(20.0, 20_000).tolist())
-        primary_id, follower_id = replicated.router.replicas_for("latency")
-        print(f"latency replicated on {primary_id} + {follower_id}")
+    replicated = ClusterCoordinator(replicas, router=router)
+    replicated.create("latency", "dc", memory_kb=1.0)
+    replicated.ingest("latency", insert=rng.exponential(20.0, 20_000).tolist())
+    primary_id, follower_id = replicated.router.replicas_for("latency")
+    print(f"latency replicated on {primary_id} + {follower_id}")
 
-        # Both replicas hold the full copy; reads prefer the primary and
-        # fail over to the follower on ShardUnavailableError (an in-process
-        # LocalShard cannot die -- tests/fault_injection.py scripts that).
-        served = replicated.query("latency", [{"op": "total"}])
-        per_replica = {
-            sid: replicated.shard(sid).store.total_count("latency")
-            for sid in (primary_id, follower_id)
-        }
-        print(f"total={served['results'][0]:.0f} served by {served['shard']}; "
-              f"each replica holds the full copy: {per_replica}")
+    # Both replicas hold the full copy; reads prefer the primary and
+    # fail over to the follower on ShardUnavailableError (an in-process
+    # LocalShard cannot die -- tests/fault_injection.py scripts that).
+    served = replicated.query("latency", [{"op": "total"}])
+    per_replica = {
+        sid: replicated.shard(sid).store.total_count("latency")
+        for sid in (primary_id, follower_id)
+    }
+    print(f"total={served['results'][0]:.0f} served by {served['shard']}; "
+          f"each replica holds the full copy: {per_replica}")
 
-        # Heal-by-copy: resync re-seeds a shard's replicas from live siblings.
-        report = replicated.resync(follower_id)
-        print(f"resync {follower_id}: re-seeded {sorted(report['resynced'])} "
-              f"from {sorted(set(report['resynced'].values()))}")
+    # Heal-by-copy: resync re-seeds a shard's replicas from live siblings.
+    report = replicated.resync(follower_id)
+    print(f"resync {follower_id}: re-seeded {sorted(report['resynced'])} "
+          f"from {sorted(set(report['resynced'].values()))}")
 
 
 if __name__ == "__main__":

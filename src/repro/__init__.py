@@ -124,7 +124,6 @@ _CLUSTER_EXPORTS = frozenset(
         "ClusterClient",
         "ClusterServer",
         "LocalShard",
-        "RemoteShard",
         "ShardBackend",
         "ShardRouter",
         "RangePartition",
@@ -241,7 +240,6 @@ __all__ = [
     "ClusterClient",
     "ClusterServer",
     "LocalShard",
-    "RemoteShard",
     "ShardBackend",
     "ShardRouter",
     "RangePartition",

@@ -12,7 +12,7 @@ This package turns that invariant catalog into machine-checked rules, the way
 model checkers turn safety properties into proof obligations instead of
 documentation: an AST-based pass (stdlib ``ast``, no dependencies) with
 
-* a rule registry (``REP001`` .. ``REP008``, see :mod:`repro.analysis.rules`;
+* a rule registry (``REP001`` .. ``REP011``, see :mod:`repro.analysis.rules`;
   each rule names the ROADMAP paragraph it enforces),
 * per-line suppression comments --
   ``# repro-verify: ignore[REP003] <written justification>`` -- where the

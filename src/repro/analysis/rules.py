@@ -385,6 +385,11 @@ def check_no_builtin_hash(module: SourceModule) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 # REP005 -- generation probe before snapshot fetch
 # ----------------------------------------------------------------------
+def _names_op(call: ast.Call, op: str) -> bool:
+    """True when ``call`` passes ``op`` as a string: an ``(op, args)`` leg."""
+    return any(isinstance(arg, ast.Constant) and arg.value == op for arg in call.args)
+
+
 @rule(
     "REP005",
     "merge caching reads generations BEFORE snapshots",
@@ -402,9 +407,12 @@ def check_generation_before_snapshot(module: SourceModule) -> Iterator[Finding]:
             call.lineno
             for call in _calls(func)
             if _call_name(call) in {"_generation_sum", "_piece_generations", "generation"}
+            or _names_op(call, "generation")
         ]
         snapshot_lines = [
-            call.lineno for call in _calls(func) if _call_name(call) == "snapshot"
+            call.lineno
+            for call in _calls(func)
+            if _call_name(call) == "snapshot" or _names_op(call, "snapshot")
         ]
         if not generation_lines or not snapshot_lines:
             continue
@@ -476,56 +484,6 @@ def check_view_not_held_across_mutation(module: SourceModule) -> Iterator[Findin
                         "alias the live arrays -- re-fetch after writes",
                     )
                     break
-
-
-# ----------------------------------------------------------------------
-# REP007 -- never retry a non-idempotent HTTP request
-# ----------------------------------------------------------------------
-@rule(
-    "REP007",
-    "transport retries after send are only legal for idempotent GETs",
-    paths=("repro/service/client.py", "repro/cluster/server.py"),
-    description=(
-        "A POST whose fate is unknown (failure after the request was handed "
-        "to the transport) must raise, never be retried: the server may have "
-        "applied it, and a blind retry double-applies the write.  Only a "
-        "connect-phase failure (nothing reached the server) or an idempotent "
-        "GET may re-enter the retry loop."
-    ),
-)
-def check_no_post_retry(module: SourceModule) -> Iterator[Finding]:
-    for loop in ast.walk(module.tree):
-        if not isinstance(loop, (ast.For, ast.While)):
-            continue
-        for try_node in ast.walk(loop):
-            if not isinstance(try_node, ast.Try):
-                continue
-            sent = any(
-                _call_name(call) in {"request", "getresponse"}
-                for stmt in try_node.body
-                for call in _calls(stmt)
-            )
-            if not sent:
-                continue
-            for handler in try_node.handlers:
-                retries = any(
-                    isinstance(n, ast.Continue) for n in ast.walk(handler)
-                )
-                if not retries:
-                    continue
-                guarded = any(
-                    isinstance(n, ast.Raise) for n in ast.walk(handler)
-                ) and any(
-                    isinstance(n, ast.Constant) and n.value == "GET"
-                    for n in ast.walk(handler)
-                )
-                if not guarded:
-                    yield (
-                        handler.lineno,
-                        "retry after the request reached the transport "
-                        "without an idempotency guard (raise unless the "
-                        'method is "GET"); a retried POST can double-apply',
-                    )
 
 
 # ----------------------------------------------------------------------
@@ -662,9 +620,7 @@ def check_obs_locks_are_leaves(module: SourceModule) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 # REP010 -- the store's read path is lock-free (RCU publication)
 # ----------------------------------------------------------------------
-#: The store's public estimate/read entry points.  Underscore-prefixed
-#: helpers (``_query_locked``, the deliberate locked fallback for mixed
-#: batches and the benchmark ablation) are intentionally NOT in this set.
+#: The store's public estimate/read entry points.
 _REP010_READ_FUNCS = {
     "estimate_range",
     "estimate_equal",
@@ -704,9 +660,7 @@ def check_lock_free_read_path(module: SourceModule) -> Iterator[Finding]:
                 yield (
                     node.lineno,
                     f"{func.name} acquires a per-attribute lock; estimate "
-                    "reads must serve from the published snapshot reference "
-                    "(the locked path lives only in the explicit _query_locked "
-                    "fallback)",
+                    "reads must serve from the published snapshot reference",
                 )
         for call in _calls(func):
             if (
@@ -751,25 +705,38 @@ def check_lock_free_read_path(module: SourceModule) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# REP011 -- binary transport never retries a non-idempotent op post-wire
+# REP011 -- a transport never retries a non-idempotent request post-wire
 # ----------------------------------------------------------------------
+#: Calls that hand a request to the wire: the binary transport's frame
+#: send/receive and the HTTP client's ``request`` / ``getresponse``.
+_REP011_SEND_CALLS = {"send", "sendall", "receive", "request", "getresponse"}
+
+
 @rule(
     "REP011",
-    "binary-transport retries after a frame reached the wire are only legal "
-    "for idempotent ops",
-    paths=("repro/cluster/transport.py", "repro/cluster/supervisor.py"),
+    "transport retries after a request reached the wire are only legal for "
+    "idempotent requests",
+    paths=(
+        "repro/service/client.py",
+        "repro/cluster/server.py",
+        "repro/cluster/transport.py",
+        "repro/cluster/supervisor.py",
+    ),
     description=(
-        "The persistent binary transport mirrors REP007 at the frame level: "
-        "once a request frame was handed to the socket its fate is unknown "
-        "(the worker may have applied an ingest before the connection died), "
-        "so a send/receive failure may only re-enter the retry loop when the "
-        "op is in IDEMPOTENT_OPS -- everything else must raise and surface "
-        "as ShardUnavailableError.  Connect-phase failures (checkout) stay "
-        "freely retriable.  The supervisor inherits the same discipline: it "
-        "restarts processes, it never replays requests on their behalf."
+        "Once a request (an HTTP request or a binary frame) was handed to "
+        "the socket its fate is unknown: the server may have applied a write "
+        "before the connection died, and a blind retry double-applies it.  "
+        "A send/receive failure may therefore only re-enter the retry loop "
+        "when the request is idempotent (an HTTP GET, an op in "
+        "IDEMPOTENT_OPS); everything else must raise -- on the binary "
+        "transport it surfaces as ShardUnavailableError.  Connect-phase "
+        "failures stay freely retriable.  The guard is spelled as a name "
+        "containing `idempotent` next to a `raise`.  The supervisor "
+        "inherits the same discipline: it restarts processes, it never "
+        "replays requests on their behalf."
     ),
 )
-def check_no_binary_post_wire_retry(module: SourceModule) -> Iterator[Finding]:
+def check_no_post_wire_retry(module: SourceModule) -> Iterator[Finding]:
     for loop in ast.walk(module.tree):
         if not isinstance(loop, (ast.For, ast.While)):
             continue
@@ -777,7 +744,7 @@ def check_no_binary_post_wire_retry(module: SourceModule) -> Iterator[Finding]:
             if not isinstance(try_node, ast.Try):
                 continue
             sent = any(
-                _call_name(call) in {"send", "sendall", "receive"}
+                _call_name(call) in _REP011_SEND_CALLS
                 for stmt in try_node.body
                 for call in _calls(stmt)
             )
@@ -798,7 +765,7 @@ def check_no_binary_post_wire_retry(module: SourceModule) -> Iterator[Finding]:
                 if not guarded:
                     yield (
                         handler.lineno,
-                        "retry after the frame reached the wire without an "
-                        "idempotency guard (raise unless the op is in "
-                        "IDEMPOTENT_OPS); a replayed ingest double-applies",
+                        "retry after the request reached the wire without an "
+                        "idempotency guard (raise unless the request is "
+                        "idempotent); a replayed write double-applies",
                     )

@@ -642,7 +642,7 @@ def _command_serve_cluster(args, out) -> int:
         out.write(detail + "\n")
 
     def teardown() -> None:
-        server.stop()  # also closes the coordinator's fan-out pool
+        server.stop()
         if supervisor is not None:
             supervisor.close()
         for store in stores:

@@ -7,12 +7,17 @@ implements the three cluster-level behaviours no single shard can provide:
 
 **Scatter-gather ingest.**  Writes for an unpartitioned attribute go to its
 home shard; writes for a range-partitioned attribute are split per value
-(one ``searchsorted`` pass) and fanned out to the piece shards concurrently
-through a thread pool.  :meth:`ingest_batch` groups a whole multi-attribute
-batch by shard first, so each shard receives exactly one concurrent stream.
-Per-shard application is independent: a failing piece never rolls back the
-others (the same partial-apply semantics as the service layer; the error
-names the failing shard).
+(one ``searchsorted`` pass) and fanned out to the piece shards.  Every
+fan-out names its legs as ``{shard_id: (op, args)}``, the shape the wire
+carries: legs to spawned worker processes are pipelined (every request frame
+is written before any reply is read), legs to in-process shards run one
+after another on the calling thread, except writes to stores that fsync
+their WAL, which overlap.  :meth:`ingest_batch` groups a whole
+multi-attribute batch by shard first, so each shard receives exactly one
+``ingest_many`` stream, in rounds of at most :data:`INGEST_LEG_VALUES`
+values.  Per-shard application is independent: a failing piece never rolls
+back the others (the same partial-apply semantics as the service layer; the
+error names the failing shard).
 
 **Merged global estimates.**  Queries against a partitioned attribute cannot
 be answered by any one shard.  The coordinator rebuilds the paper's Section 8
@@ -41,15 +46,15 @@ shard excluded).
 
 **Replication / failover / resync.**  With a router built with
 ``replication_factor=N``, every attribute (and every piece of a partitioned
-attribute) lives on N distinct shards.  Writes fan out to all replicas
-concurrently; a write succeeds as long as *one* replica of each touched
-group applies it, and a replica that fails (before or after applying --
-its fate is unknown) is only **marked stale**, never retried: retrying a
-write whose fate is unknown could double-apply it, while a stale replica is
-healed wholesale by :meth:`resync` (snapshot from a live replica, restore
-over the stale one -- a full-state replace, immune to double-apply by
-construction).  Reads try the primary first and fail over to the next live,
-non-stale replica on :class:`~repro.exceptions.ShardUnavailableError`.  With
+attribute) lives on N distinct shards.  Writes fan out to all replicas; a
+write succeeds as long as *one* replica of each touched group applies it,
+and a replica that fails (before or after applying -- its fate is unknown)
+is only **marked stale**, never retried: retrying a write whose fate is
+unknown could double-apply it, while a stale replica is healed wholesale by
+:meth:`resync` (snapshot from a live replica, restore over the stale one --
+a full-state replace, immune to double-apply by construction).  Reads try
+the primary first and fail over to the next live, non-stale replica on
+:class:`~repro.exceptions.ShardUnavailableError`.  With
 ``replica_reads=True`` the coordinator instead *rotates* estimate reads
 round-robin across the known-fresh replicas of an attribute (every replica
 applies every write, so any non-stale replica answers identically), spreading
@@ -62,7 +67,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Mapping, Sequence
 from typing import Any
 
@@ -86,6 +90,11 @@ __all__ = ["ClusterCoordinator", "DEFAULT_GLOBAL_BUCKETS"]
 #: Default bucket budget of merged global histograms (the reduce target).
 DEFAULT_GLOBAL_BUCKETS = 64
 
+#: Values one ``ingest_many`` leg carries at most (an attribute is never
+#: split), so a leg stays inside one call's timeout: DVO/DADO deletes cost up
+#: to ~300 us a value, about a second for a full leg.
+INGEST_LEG_VALUES = 4096
+
 
 class ClusterCoordinator:
     """Routes, fans out and merges across the cluster's shards.
@@ -100,8 +109,6 @@ class ClusterCoordinator:
         Bucket budget merged global histograms are reduced to.
     value_unit:
         Domain granularity forwarded to the reduction metric.
-    max_workers:
-        Fan-out thread-pool size (default: two per shard, at least four).
     replica_reads:
         When true, estimate reads rotate round-robin across the known-fresh
         replicas instead of always hitting the primary, spreading query load
@@ -115,7 +122,6 @@ class ClusterCoordinator:
         router: ShardRouter | None = None,
         global_buckets: int = DEFAULT_GLOBAL_BUCKETS,
         value_unit: float = 1.0,
-        max_workers: int | None = None,
         metrics: Any | None = None,
         replica_reads: bool = False,
     ) -> None:
@@ -134,12 +140,6 @@ class ClusterCoordinator:
                 raise ConfigurationError(f"router routes to unknown shard {shard_id!r}")
         self._global_buckets = int(global_buckets)
         self._value_unit = float(value_unit)
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers if max_workers is not None else max(4, 2 * len(shards)),
-            thread_name_prefix="repro-cluster",
-        )
-        self._closed = False
-        self._close_lock = threading.Lock()
         # Read-replica mode: estimate reads rotate across fresh replicas.
         # itertools.count.__next__ is a single C call, so the rotation is
         # thread-safe without a lock of its own.
@@ -174,9 +174,9 @@ class ClusterCoordinator:
         self._dropped_buffered_ops = 0
         # Optional observability: per-shard fan-out latency plus the
         # replication health counters.  Metric updates are leaves (repro.obs
-        # contract), recorded outside the coordinator's own locks.  Shard
-        # backends that carry an HTTP client (RemoteShard) mirror their
-        # connect-retry stats into the same registry.
+        # contract), recorded outside the coordinator's own locks.  Process
+        # shards mirror their transport client's connect-retry stats into the
+        # same registry.
         self.metrics = metrics
         self._m_fanout_seconds = None
         self._m_failovers = None
@@ -224,77 +224,77 @@ class ClusterCoordinator:
 
     def _scatter_tolerant(
         self,
-        shard_ids: Sequence[str],
-        call,
+        legs: Mapping[str, tuple[str, dict[str, Any]]],
         *,
         failure_types: tuple[type, ...] = (ShardUnavailableError,),
     ) -> tuple[dict[str, Any], dict[str, Exception]]:
-        """Concurrent ``call(shard)`` per shard, partitioning the outcomes.
+        """Run one ``(op, args)`` leg per shard, partitioning the outcomes.
 
         Returns ``(results, errors)`` keyed by shard id: ``failure_types``
         exceptions land in ``errors`` (the caller decides what a tolerable
         failure means -- drop, listing, batch ingest and the replicated
-        fan-out all differ), anything else propagates immediately.
+        fan-out all differ); any other error is raised once every leg ran.
 
         When every target is a :class:`~repro.cluster.transport.ProcessShard`
-        and the per-shard call is one plain backend method, the scatter is
-        **pipelined**: the calling thread writes every request frame on a
-        persistent connection and multiplexes the replies, so no executor
-        thread is occupied per shard per request.  Semantics (error
-        partitioning, retry discipline, fan-out latency metrics) are
-        identical; compound closures fall back to the executor path.
+        the scatter is **pipelined**: the calling thread writes every request
+        frame on a persistent connection and then multiplexes the replies.
+        In-process legs are CPU-bound under the GIL and run one after another
+        on the calling thread, except those that wait on the disk with the
+        GIL released (:meth:`ShardBackend.waits_on_disk`): they overlap, each
+        extra one on a short-lived thread carrying the request's trace.
+        Every leg records ``repro_cluster_fanout_seconds`` and a
+        ``fanout:<shard>`` span.
         """
-        with maybe_span("fanout:scatter"):
-            pipelined = try_pipelined_scatter(
-                {shard_id: self.shard(shard_id) for shard_id in shard_ids}, call
-            )
-        if pipelined is not None:
-            results: dict[str, Any] = {}
-            errors: dict[str, Exception] = {}
-            for shard_id, (ok, value, elapsed) in pipelined.items():
-                if self._m_fanout_seconds is not None:
-                    self._m_fanout_seconds.observe(elapsed, shard=shard_id)
-                if ok:
-                    results[shard_id] = value
-                elif isinstance(value, failure_types):
-                    errors[shard_id] = value
-                else:
-                    raise value
-            return results, errors
-        # The active trace is captured BEFORE the executor submits: the pool
-        # threads have their own threading.local, so each leg re-activates
-        # the request's trace and records its own span.
+        shards = {shard_id: self.shard(shard_id) for shard_id in legs}
+        started = time.perf_counter()
         trace = current_trace()
-        futures = {
-            shard_id: self._executor.submit(
-                self._traced_leg(shard_id, call, trace), self.shard(shard_id)
-            )
-            for shard_id in shard_ids
-        }
+        outcomes = try_pipelined_scatter(shards, legs)
+        if outcomes is not None:
+            starts = dict.fromkeys(outcomes, started)
+        else:
+            starts = {}
+            finished: dict[str, tuple[bool, Any, float]] = {}
+
+            def run(shard_id: str) -> None:
+                op, args = legs[shard_id]
+                starts[shard_id] = time.perf_counter()
+                try:
+                    with use_trace(trace):
+                        ok, value = True, getattr(shards[shard_id], op)(**args)
+                except Exception as error:
+                    ok, value = False, error
+                finished[shard_id] = (ok, value, time.perf_counter() - starts[shard_id])
+
+            waiting = [sid for sid, shard in shards.items() if shard.waits_on_disk(legs[sid][0])]
+            threads = {
+                sid: threading.Thread(target=run, args=(sid,), name=f"repro-fanout-{sid}")
+                for sid in waiting[1:]
+            }
+            for thread in threads.values():
+                thread.start()
+            for shard_id in shards:
+                if shard_id not in threads:
+                    run(shard_id)
+            for thread in threads.values():
+                thread.join()
+            outcomes = {shard_id: finished[shard_id] for shard_id in shards}
         results: dict[str, Any] = {}
         errors: dict[str, Exception] = {}
-        for shard_id, future in futures.items():
-            try:
-                results[shard_id] = future.result()
-            except failure_types as error:
-                errors[shard_id] = error
+        unexpected: Exception | None = None
+        for shard_id, (ok, value, elapsed) in outcomes.items():
+            if self._m_fanout_seconds is not None:
+                self._m_fanout_seconds.observe(elapsed, shard=shard_id)
+            if trace is not None:
+                trace.add_span(f"fanout:{shard_id}", starts[shard_id] - trace.started, elapsed)
+            if ok:
+                results[shard_id] = value
+            elif isinstance(value, failure_types):
+                errors[shard_id] = value
+            elif unexpected is None:
+                unexpected = value
+        if unexpected is not None:
+            raise unexpected
         return results, errors
-
-    def _traced_leg(self, shard_id: str, call, trace):
-        """Wrap one fan-out leg with trace propagation and latency metrics."""
-
-        def run(shard: ShardBackend) -> Any:
-            start = time.perf_counter()
-            try:
-                with use_trace(trace), maybe_span(f"fanout:{shard_id}"):
-                    return call(shard)
-            finally:
-                if self._m_fanout_seconds is not None:
-                    self._m_fanout_seconds.observe(
-                        time.perf_counter() - start, shard=shard_id
-                    )
-
-        return run
 
     # ------------------------------------------------------------------
     # replication plumbing
@@ -347,9 +347,16 @@ class ClusterCoordinator:
         return fresh + stale
 
     def _call_with_failover(
-        self, name: str, replicas: Sequence[str], call, *, spread: bool = False
+        self,
+        name: str,
+        replicas: Sequence[str],
+        op: str,
+        args: Mapping[str, Any],
+        *,
+        spread: bool = False,
+        tried: tuple[str, Exception] | None = None,
     ):
-        """Run ``call(shard)`` on the first live replica; returns (id, result).
+        """Run ``op`` on the first live replica; returns (id, result).
 
         :class:`ShardUnavailableError` triggers failover.  An application
         error (bad query, unknown attribute) is normally the same on every
@@ -359,15 +366,21 @@ class ClusterCoordinator:
         missed the create), so failover continues; if no fresh replica can
         answer, the unavailability -- the retry/heal signal -- is preferred
         over the misleading "unknown".
+
+        ``tried`` is a ``(shard_id, error)`` attempt a scatter already made:
+        that replica is not asked again, and its error counts like any other
+        attempt's.
         """
         last_unavailable: ShardUnavailableError | None = None
         last_unknown: UnknownAttributeError | None = None
         for shard_id in self._failover_order(name, replicas, spread=spread):
             try:
+                if tried is not None and shard_id == tried[0]:
+                    raise tried[1]
                 start = time.perf_counter()
                 try:
                     with maybe_span(f"shard:{shard_id}"):
-                        return shard_id, call(self.shard(shard_id))
+                        return shard_id, getattr(self.shard(shard_id), op)(**args)
                 finally:
                     if self._m_fanout_seconds is not None:
                         self._m_fanout_seconds.observe(
@@ -392,13 +405,13 @@ class ClusterCoordinator:
     def _fan_out_replicated(
         self,
         name: str,
-        groups: Sequence[tuple[tuple[str, ...], Any]],
+        groups: Sequence[tuple[tuple[str, ...], tuple[str, dict[str, Any]]]],
         *,
         failure_types: tuple[type, ...] = (ShardUnavailableError,),
     ) -> dict[str, Any]:
-        """Run one ``call(shard)`` per replica of every group, concurrently.
+        """Send a group's ``(op, args)`` leg to every replica of every group.
 
-        ``groups`` holds ``(replica_ids, call)`` pairs.  The shared
+        ``groups`` holds ``(replica_ids, leg)`` pairs.  The shared
         replicated-mutation contract (writes, create, restore): per group,
         success needs at least one replica to apply; a fully-failed group
         raises its first error -- but only after EVERY other group's partial
@@ -410,12 +423,8 @@ class ClusterCoordinator:
         (a duplicate create, a bad payload) are the same on every replica
         and propagate immediately.
         """
-        call_by_shard = {
-            shard_id: call for replicas, call in groups for shard_id in replicas
-        }
         results, errors = self._scatter_tolerant(
-            list(call_by_shard),
-            lambda shard: call_by_shard[shard.shard_id](shard),
+            {shard_id: leg for replicas, leg in groups for shard_id in replicas},
             failure_types=failure_types,
         )
         failed: list[str] = []
@@ -459,12 +468,7 @@ class ClusterCoordinator:
         return self._fan_out_replicated(
             name,
             [
-                (
-                    replicas,
-                    lambda shard, i=insert, d=delete: shard.ingest(
-                        name, insert=i, delete=d
-                    ),
-                )
+                (replicas, ("ingest", {"name": name, "insert": insert, "delete": delete}))
                 for replicas, insert, delete in groups
             ],
             failure_types=(ShardUnavailableError, UnknownAttributeError),
@@ -488,20 +492,6 @@ class ClusterCoordinator:
             )
             for piece_id in sorted(set(insert_groups) | set(delete_groups))
         ]
-
-    def close(self) -> None:
-        """Shut the fan-out pool down (idempotent; pending calls finish first)."""
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._executor.shutdown(wait=True)
-
-    def __enter__(self) -> ClusterCoordinator:
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # registry
@@ -527,16 +517,18 @@ class ClusterCoordinator:
         on every piece shard; ``partition_shards`` overrides the default
         round-robin piece placement.
         """
-        def create_on(shard: ShardBackend) -> dict[str, Any]:
-            return shard.create(
-                name,
-                kind,
-                memory_kb=memory_kb,
-                value_unit=value_unit,
-                disk_factor=disk_factor,
-                seed=seed,
-                exist_ok=exist_ok,
-            )
+        create_leg = (
+            "create",
+            {
+                "name": name,
+                "kind": kind,
+                "memory_kb": memory_kb,
+                "value_unit": value_unit,
+                "disk_factor": disk_factor,
+                "seed": seed,
+                "exist_ok": exist_ok,
+            },
+        )
 
         if partition_boundaries is None:
             if partition_shards is not None:
@@ -546,7 +538,7 @@ class ClusterCoordinator:
             # replica creating suffices; an unreachable replica is marked
             # stale so resync re-seeds it -- its missing attribute is then a
             # recorded gap, not a silent one that poisons later writes.
-            created = self._fan_out_replicated(name, [(replicas, create_on)])
+            created = self._fan_out_replicated(name, [(replicas, create_leg)])
             result = {
                 "name": name,
                 "partitioned": False,
@@ -563,7 +555,7 @@ class ClusterCoordinator:
         try:
             piece_replicas = self._router.partition_replicas(name)
             created = self._fan_out_replicated(
-                name, [(ids, create_on) for ids in piece_replicas.values()]
+                name, [(ids, create_leg) for ids in piece_replicas.values()]
             )
             pieces = {
                 piece_id: self._first_result(created, ids)
@@ -605,16 +597,15 @@ class ClusterCoordinator:
             {sid for replicas in self._router.replica_sets_for(name) for sid in replicas}
         )
 
-        def drop_on(shard: ShardBackend) -> str:
-            try:
-                shard.drop(name)
-            except UnknownAttributeError:
-                return "already-absent"
-            return "dropped"
-
-        outcomes, errors = self._scatter_tolerant(shard_ids, drop_on)
-        unreached = sorted(errors)
-        dropped = [sid for sid in shard_ids if outcomes.get(sid) == "dropped"]
+        dropped, errors = self._scatter_tolerant(
+            {shard_id: ("drop", {"name": name}) for shard_id in shard_ids},
+            failure_types=(ShardUnavailableError, UnknownAttributeError),
+        )
+        # A replica that already lacks the attribute is neither dropped here
+        # nor unreached.
+        unreached = sorted(
+            sid for sid, error in errors.items() if isinstance(error, ShardUnavailableError)
+        )
         if not dropped:
             if unreached:
                 raise errors[unreached[0]]
@@ -646,7 +637,7 @@ class ClusterCoordinator:
         they are needed.
         """
         gathered, errors = self._scatter_tolerant(
-            list(self._shards), lambda shard: shard.names()
+            {shard_id: ("names", {}) for shard_id in self._shards}
         )
         if not gathered and errors:
             raise next(iter(errors.values()))
@@ -687,17 +678,19 @@ class ClusterCoordinator:
             self._end_apply(name)
 
     def ingest_batch(self, items: Mapping[str, Any]) -> dict[str, Any]:
-        """Fan a multi-attribute write batch out: one concurrent stream per shard.
+        """Fan a multi-attribute write batch out: one ``ingest_many`` stream per shard.
 
         ``items`` maps attribute name to either a plain sequence of values
         (an insert run, the historical shape) or a mapping with optional
         ``insert`` / ``delete`` value lists.  Every attribute's values are
         grouped by owning shard (splitting partitioned attributes per value),
-        then each shard applies its group in one concurrently-submitted run;
-        the shard applies an attribute's inserts before its deletes, and the
-        delete side rides the store's vectorised ``delete_many`` path.
+        then each shard applies its group as one stream, in order, stopping
+        at its first failure; the shard applies an attribute's inserts before
+        its deletes, and the delete side rides the store's vectorised
+        ``delete_many`` path.  A longer stream than
+        :data:`INGEST_LEG_VALUES` values goes out in several rounds.
         """
-        per_shard: dict[str, dict[str, tuple[list[float], list[float]]]] = {}
+        per_shard: dict[str, dict[str, dict[str, list[float]]]] = {}
         # One entry per replica group: (name, replica ids, insert, delete);
         # success needs >= 1 live replica per group.
         group_index: list[tuple[str, tuple[str, ...], list[float], list[float]]] = []
@@ -724,28 +717,36 @@ class ClusterCoordinator:
                 ):
                     group_index.append((name, replicas, group_insert, group_delete))
                     for shard_id in replicas:
-                        shard_items = per_shard.setdefault(shard_id, {})
-                        shard_items[name] = (group_insert, group_delete)
-
-            def apply_group(shard: ShardBackend) -> dict[str, int]:
-                applied = {"inserted": 0, "deleted": 0}
-                for name, (shard_insert, shard_delete) in per_shard[
-                    shard.shard_id
-                ].items():
-                    result = shard.ingest(name, insert=shard_insert, delete=shard_delete)
-                    applied["inserted"] += result.get("inserted", len(shard_insert))
-                    applied["deleted"] += result.get("deleted", len(shard_delete))
-                return applied
+                        per_shard.setdefault(shard_id, {})[name] = {
+                            "insert": group_insert,
+                            "delete": group_delete,
+                        }
 
             # A failing shard's whole stream is suspect: some attributes in
             # its group may have applied before the failure, so every one of
             # them is conservatively marked stale below (resync heals by
-            # full-state replace).
-            gathered, shard_errors = self._scatter_tolerant(
-                sorted(per_shard),
-                apply_group,
-                failure_types=(ShardUnavailableError, UnknownAttributeError),
-            )
+            # full-state replace), and its later rounds are not sent.
+            streams = {
+                shard_id: _stream_legs(per_shard[shard_id]) for shard_id in sorted(per_shard)
+            }
+            gathered: dict[str, dict[str, int]] = {}
+            shard_errors: dict[str, Exception] = {}
+            for round_index in range(max(map(len, streams.values()), default=0)):
+                results, errors = self._scatter_tolerant(
+                    {
+                        shard_id: ("ingest_many", {"items": legs[round_index]})
+                        for shard_id, legs in streams.items()
+                        if round_index < len(legs) and shard_id not in shard_errors
+                    },
+                    failure_types=(ShardUnavailableError, UnknownAttributeError),
+                )
+                shard_errors.update(errors)
+                for shard_id, result in results.items():
+                    counts = gathered.setdefault(shard_id, {"inserted": 0, "deleted": 0})
+                    counts["inserted"] += result["inserted"]
+                    counts["deleted"] += result["deleted"]
+            for shard_id in shard_errors:
+                gathered.pop(shard_id, None)
             failed_replicas: list[str] = []
             # As in _fan_out_replicated: finish the stale-marking sweep over
             # every group before raising for a fully-failed one.
@@ -807,7 +808,8 @@ class ClusterCoordinator:
             shard_id, result = self._call_with_failover(
                 name,
                 self._router.replicas_for(name),
-                lambda shard: shard.query(name, queries),
+                "query",
+                {"name": name, "queries": list(queries)},
                 spread=self._replica_reads,
             )
             result["shard"] = shard_id
@@ -853,27 +855,35 @@ class ClusterCoordinator:
         self,
         name: str,
         piece_replicas: Mapping[str, tuple[str, ...]],
-        call,
+        op: str,
         *,
         spread: bool = False,
     ) -> dict[str, Any]:
-        """Run ``call`` once per piece, each with replica failover, gathered
-        concurrently and keyed by the piece's primary shard id."""
-        # As in _scatter_tolerant: capture the trace before crossing into
-        # the pool so each piece's failover legs record spans on it.
-        trace = current_trace()
+        """Run ``op`` once per piece, keyed by the piece's primary shard id.
 
-        def run(replicas: tuple[str, ...]) -> tuple[str, Any]:
-            with use_trace(trace):
-                return self._call_with_failover(name, replicas, call, spread=spread)
-
-        futures = {
-            piece_id: self._executor.submit(run, replicas)
+        One scatter asks every piece's first-choice replica.  The router
+        never puts two pieces of an attribute on one shard, so the legs
+        cannot collide.  A piece whose leg failed goes on through
+        :meth:`_call_with_failover` over its other replicas.
+        """
+        orders = {
+            piece_id: self._failover_order(name, replicas, spread=spread)
             for piece_id, replicas in piece_replicas.items()
         }
-        return {
-            piece_id: future.result()[1] for piece_id, future in futures.items()
-        }
+        first = {order[0]: piece_id for piece_id, order in orders.items()}
+        results, errors = self._scatter_tolerant(
+            {shard_id: (op, {"name": name}) for shard_id in first},
+            failure_types=(ShardUnavailableError, UnknownAttributeError),
+        )
+        gathered: dict[str, Any] = {}
+        for shard_id, piece_id in first.items():
+            if shard_id in results:
+                gathered[piece_id] = results[shard_id]
+            else:
+                gathered[piece_id] = self._call_with_failover(
+                    name, orders[piece_id], op, {"name": name}, tried=(shard_id, errors[shard_id])
+                )[1]
+        return gathered
 
     def _piece_generations(
         self, name: str, piece_replicas: Mapping[str, tuple[str, ...]]
@@ -887,10 +897,7 @@ class ClusterCoordinator:
         return {
             piece_id: int(value)
             for piece_id, value in self._gather_pieces(
-                name,
-                piece_replicas,
-                lambda shard: shard.generation(name),
-                spread=self._replica_reads,
+                name, piece_replicas, "generation", spread=self._replica_reads
             ).items()
         }
 
@@ -927,6 +934,13 @@ class ClusterCoordinator:
         snapshot, so the incremental superimpose + reduce is bit-identical
         to a from-scratch rebuild over full snapshots -- the probe-before-
         snapshot direction holds per piece exactly as in the all-piece case.
+
+        The moved pieces are fetched **before** the attribute's merge lock is
+        taken: shard I/O under that lock would stall every reader of the
+        attribute behind one slow or dead shard.  The lock guards only the
+        re-check, the merge and the install.  Two readers may then fetch
+        concurrently; each entry is keyed on its own snapshots, so whichever
+        installs last is still honest about its freshness.
         """
         partition = self._partition_of(name)
         piece_ids = partition.piece_shard_ids
@@ -936,26 +950,17 @@ class ClusterCoordinator:
         cached = self._merge_cache.get(name)
         if cached is not None and cached[0] == generation_sum:
             return cached[0], cached[1]
+        retained = cached[2] if cached is not None else {}
+        moved = {
+            piece_id: piece_replicas[piece_id]
+            for piece_id in piece_ids
+            if piece_id not in retained or retained[piece_id][0] != generations[piece_id]
+        }
+        snapshots = self._gather_pieces(name, moved, "snapshot") if moved else {}
         with self._merge_lock(name):
             cached = self._merge_cache.get(name)
             if cached is not None and cached[0] == generation_sum:
                 return cached[0], cached[1]
-            retained = cached[2] if cached is not None else {}
-            moved = {
-                piece_id
-                for piece_id in piece_ids
-                if piece_id not in retained
-                or retained[piece_id][0] != generations[piece_id]
-            }
-            snapshots = (
-                self._gather_pieces(
-                    name,
-                    {piece_id: piece_replicas[piece_id] for piece_id in moved},
-                    lambda shard: shard.snapshot(name),
-                )
-                if moved
-                else {}
-            )
             piece_states: dict[str, tuple[int, Histogram]] = {}
             for piece_id in piece_ids:
                 if piece_id in snapshots:
@@ -996,7 +1001,7 @@ class ClusterCoordinator:
                 "per shard (each piece shard serves /attributes/<name>/snapshot)"
             )
         return self._call_with_failover(
-            name, self._router.replicas_for(name), lambda shard: shard.snapshot(name)
+            name, self._router.replicas_for(name), "snapshot", {"name": name}
         )[1]
 
     def restore(self, name: str, snapshot: Mapping[str, Any]) -> dict[str, Any]:
@@ -1012,7 +1017,7 @@ class ClusterCoordinator:
             )
         replicas = self._router.replicas_for(name)
         restored = self._fan_out_replicated(
-            name, [(replicas, lambda shard: shard.restore(name, snapshot))]
+            name, [(replicas, ("restore", {"name": name, "snapshot": dict(snapshot)}))]
         )
         return self._first_result(restored, replicas)
 
@@ -1212,7 +1217,7 @@ class ClusterCoordinator:
                 self._moves_cv.wait()
         try:
             source_id, snapshot = self._call_with_failover(
-                name, sources, lambda shard: shard.snapshot(name)
+                name, sources, "snapshot", {"name": name}
             )
             self.shard(target_id).restore(name, snapshot)
             # Stale bookkeeping NOW, not after the replay: the restore made
@@ -1305,7 +1310,7 @@ class ClusterCoordinator:
         if partition is None:
             replicas = self._router.replicas_for(name)
             shard_id, stats = self._call_with_failover(
-                name, replicas, lambda shard: shard.stats(name)
+                name, replicas, "stats", {"name": name}
             )
             result = {
                 "name": name,
@@ -1317,9 +1322,7 @@ class ClusterCoordinator:
                 result["replicas"] = list(replicas)
             return result
         piece_replicas = self._router.partition_replicas(name)
-        pieces = self._gather_pieces(
-            name, piece_replicas, lambda shard: shard.stats(name)
-        )
+        pieces = self._gather_pieces(name, piece_replicas, "stats")
         cached = self._merge_cache.get(name)
         result = {
             "name": name,
@@ -1340,13 +1343,20 @@ class ClusterCoordinator:
 
         An unreachable shard is reported (``status: unavailable``) rather
         than failing the whole listing -- operators need exactly this view
-        while a member is down.
+        while a member is down.  A ``health`` round goes first; only the
+        shards that answered it get the ``stats_all`` round.
         """
-
-        gathered, errors = self._scatter_tolerant(
-            list(self._shards),
-            lambda shard: {"health": shard.health(), "attributes": shard.stats_all()},
+        healths, errors = self._scatter_tolerant(
+            {shard_id: ("health", {}) for shard_id in self._shards}
         )
+        tables, table_errors = self._scatter_tolerant(
+            {shard_id: ("stats_all", {}) for shard_id in healths}
+        )
+        errors.update(table_errors)
+        gathered = {
+            shard_id: {"health": healths[shard_id], "attributes": tables[shard_id]}
+            for shard_id in tables
+        }
         for shard_id, error in errors.items():
             gathered[shard_id] = {
                 "health": {"status": "unavailable", "error": str(error)},
@@ -1367,3 +1377,17 @@ class ClusterCoordinator:
             "dropped_buffered_ops": self._dropped_buffered_ops,
             "replica_reads": self._replica_reads,
         }
+
+
+def _stream_legs(items: Mapping[str, Mapping[str, list[float]]]) -> list[dict[str, Any]]:
+    """Cut one shard's ordered stream into legs of <= INGEST_LEG_VALUES values."""
+    legs: list[dict[str, Any]] = []
+    size = 0
+    for name, values in items.items():
+        count = len(values["insert"]) + len(values["delete"])
+        if not legs or (size and size + count > INGEST_LEG_VALUES):
+            legs.append({})
+            size = 0
+        legs[-1][name] = values
+        size += count
+    return legs

@@ -1,36 +1,38 @@
-"""The shard protocol: one abstraction over local stores and remote servers.
+"""The shard protocol: one abstraction over local stores and worker processes.
 
 The cluster coordinator talks to every backing shard through
-:class:`ShardBackend` -- a small, JSON-shaped protocol (all methods return
-plain dictionaries, exactly what the HTTP service already speaks).  Two
-implementations cover the deployment spectrum:
+:class:`ShardBackend` -- a small, JSON-shaped protocol (every method takes
+keyword-passable JSON values and returns plain dictionaries, so a call is
+exactly one ``(op, args)`` request on the wire).  Two implementations cover
+the deployment spectrum:
 
 * :class:`LocalShard` wraps an in-process
   :class:`~repro.service.store.HistogramStore` -- zero serialisation, used by
-  tests, the ``serve-cluster`` CLI and single-host deployments;
-* :class:`RemoteShard` wraps a
-  :class:`~repro.service.client.StatisticsClient` pointed at a running
-  :class:`~repro.service.server.StatisticsServer` -- a shared-nothing remote
-  site, as in Section 8 of the paper.
+  tests, ``serve-cluster --shards N`` and single-host deployments;
+* :class:`~repro.cluster.transport.ProcessShard` reaches a spawned worker
+  process (``serve-cluster --spawn-shards N``) over the persistent binary
+  transport -- a shared-nothing site, as in Section 8 of the paper.
 
-Because both speak the same protocol, a cluster can mix them freely; the
-coordinator neither knows nor cares.  Transport failures surface as
-:class:`~repro.exceptions.ShardUnavailableError` (after the client's bounded
-retries), so callers can distinguish "shard down" from "bad request".
+Because both speak the same protocol, a cluster can mix them freely.
+Transport failures surface as :class:`~repro.exceptions.ShardUnavailableError`
+(after the client's bounded retries), so callers can distinguish "shard
+down" from "bad request".
 """
 
 from __future__ import annotations
 
 import abc
-from http.client import HTTPException
 from collections.abc import Mapping, Sequence
 from typing import Any
 
-from ..exceptions import ConfigurationError, ShardUnavailableError
-from ..service.client import StatisticsClient
+from ..exceptions import ConfigurationError
 from ..service.store import HistogramStore
 
-__all__ = ["ShardBackend", "LocalShard", "RemoteShard"]
+__all__ = ["ShardBackend", "LocalShard", "WRITE_OPS"]
+
+#: The ops that mutate a shard (each one appends a WAL record on a durable
+#: store); every other op only reads.
+WRITE_OPS = frozenset({"create", "drop", "ingest", "ingest_many", "restore"})
 
 
 class ShardBackend(abc.ABC):
@@ -40,6 +42,11 @@ class ShardBackend(abc.ABC):
         if not shard_id or not isinstance(shard_id, str):
             raise ConfigurationError("shard_id must be a non-empty string")
         self.shard_id = shard_id
+
+    def waits_on_disk(self, op: str) -> bool:
+        """True when ``op`` here blocks on disk I/O with the GIL released
+        (the coordinator overlaps such in-process legs on threads)."""
+        return False
 
     # -- registry -------------------------------------------------------
     @abc.abstractmethod
@@ -70,6 +77,23 @@ class ShardBackend(abc.ABC):
         self, name: str, insert: Sequence[float] = (), delete: Sequence[float] = ()
     ) -> dict[str, Any]:
         """Apply a batch of inserts then deletes; returns counts + generation."""
+
+    def ingest_many(self, items: Mapping[str, Mapping[str, Sequence[float]]]) -> dict[str, int]:
+        """Apply several attributes' batches in order; returns summed counts.
+
+        ``items`` maps each attribute name to its ``insert`` / ``delete``
+        lists.  The stream stops at the first failing attribute and raises:
+        the attributes before it have applied, so the caller must treat the
+        whole stream as suspect.
+        """
+        applied = {"inserted": 0, "deleted": 0}
+        for name, values in items.items():
+            insert = values.get("insert", ())
+            delete = values.get("delete", ())
+            result = self.ingest(name, insert=insert, delete=delete)
+            applied["inserted"] += result.get("inserted", len(insert))
+            applied["deleted"] += result.get("deleted", len(delete))
+        return applied
 
     # -- reads ----------------------------------------------------------
     @abc.abstractmethod
@@ -112,6 +136,11 @@ class LocalShard(ShardBackend):
     def __init__(self, shard_id: str, store: HistogramStore | None = None) -> None:
         super().__init__(shard_id)
         self.store = store if store is not None else HistogramStore()
+
+    def waits_on_disk(self, op: str) -> bool:
+        # A write waits for its WAL append's fsync, which releases the GIL.
+        durability = self.store.durability
+        return op in WRITE_OPS and durability is not None and durability.fsync
 
     def create(
         self,
@@ -174,113 +203,3 @@ class LocalShard(ShardBackend):
 
     def health(self) -> dict[str, Any]:
         return {"status": "ok", "attributes": len(self.store)}
-
-
-class RemoteShard(ShardBackend):
-    """A shard served by a remote :class:`StatisticsServer`.
-
-    Connection-level failures (after the client's own bounded
-    retry-with-backoff) are wrapped into
-    :class:`~repro.exceptions.ShardUnavailableError` carrying this shard's id,
-    so scatter-gather errors identify the failing member.
-    """
-
-    #: Transport-level failures (the client's bounded retries already ran):
-    #: connect errors surface as OSError, a connection dying mid-response as
-    #: http.client.HTTPException (IncompleteRead, BadStatusLine, ...).
-    _TRANSPORT_ERRORS: tuple[type, ...] = (OSError, HTTPException)
-
-    def __init__(self, shard_id: str, client: StatisticsClient) -> None:
-        super().__init__(shard_id)
-        self.client = client
-
-    def bind_metrics(self, metrics: Any) -> None:
-        """Mirror the client's connect-retry stats into ``metrics``.
-
-        The coordinator calls this for every shard backend that has it, so
-        per-endpoint retry/backoff counters land in the cluster's registry.
-        """
-        self.client.bind_metrics(metrics)
-
-    def _unavailable(self, error: Exception) -> ShardUnavailableError:
-        return ShardUnavailableError(self.shard_id, error)
-
-    def create(
-        self,
-        name: str,
-        kind: str = "dc",
-        *,
-        memory_kb: float = 1.0,
-        value_unit: float = 1.0,
-        disk_factor: float = 20.0,
-        seed: int = 0,
-        exist_ok: bool = False,
-    ) -> dict[str, Any]:
-        try:
-            return self.client.create(
-                name,
-                kind,
-                memory_kb=memory_kb,
-                value_unit=value_unit,
-                disk_factor=disk_factor,
-                seed=seed,
-                exist_ok=exist_ok,
-            )
-        except self._TRANSPORT_ERRORS as error:
-            raise self._unavailable(error) from error
-
-    def drop(self, name: str) -> None:
-        try:
-            self.client.drop(name)
-        except self._TRANSPORT_ERRORS as error:
-            raise self._unavailable(error) from error
-
-    def names(self) -> list[str]:
-        try:
-            return sorted(stats["name"] for stats in self.client.stats()["attributes"])
-        except self._TRANSPORT_ERRORS as error:
-            raise self._unavailable(error) from error
-
-    def ingest(
-        self, name: str, insert: Sequence[float] = (), delete: Sequence[float] = ()
-    ) -> dict[str, Any]:
-        try:
-            return self.client.ingest(name, insert=insert, delete=delete)
-        except self._TRANSPORT_ERRORS as error:
-            raise self._unavailable(error) from error
-
-    def query(self, name: str, queries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
-        try:
-            return self.client.query(name, queries)
-        except self._TRANSPORT_ERRORS as error:
-            raise self._unavailable(error) from error
-
-    def stats(self, name: str) -> dict[str, Any]:
-        try:
-            return self.client.stats(name)
-        except self._TRANSPORT_ERRORS as error:
-            raise self._unavailable(error) from error
-
-    def stats_all(self) -> list[dict[str, Any]]:
-        try:
-            return self.client.stats()["attributes"]
-        except self._TRANSPORT_ERRORS as error:
-            raise self._unavailable(error) from error
-
-    def snapshot(self, name: str) -> dict[str, Any]:
-        try:
-            return self.client.snapshot(name)
-        except self._TRANSPORT_ERRORS as error:
-            raise self._unavailable(error) from error
-
-    def restore(self, name: str, snapshot: Mapping[str, Any]) -> dict[str, Any]:
-        try:
-            return self.client.restore(name, snapshot)
-        except self._TRANSPORT_ERRORS as error:
-            raise self._unavailable(error) from error
-
-    def health(self) -> dict[str, Any]:
-        try:
-            return self.client.health()
-        except self._TRANSPORT_ERRORS as error:
-            raise self._unavailable(error) from error

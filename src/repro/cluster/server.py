@@ -107,8 +107,7 @@ class ClusterServer(EdgeServer):
     Same lifecycle contract as the single-node server: ``port=0`` binds an
     ephemeral port, :meth:`start` serves from a daemon thread,
     :meth:`serve_forever` serves in the foreground, and the context manager
-    starts / stops around the block (closing the coordinator's fan-out pool
-    on exit).
+    starts / stops around the block.
     """
 
     handler_class = _ClusterHandler
@@ -140,9 +139,6 @@ class ClusterServer(EdgeServer):
             trace_sink=trace_sink,
             profile=profile,
         )
-
-    def _on_stop(self) -> None:
-        self.coordinator.close()
 
 
 class ClusterClient(StatisticsClient):
@@ -191,8 +187,8 @@ class ClusterClient(StatisticsClient):
 
         Each entry maps an attribute name to either a list of values to
         insert or an object with ``insert`` / ``delete`` value lists; the
-        coordinator groups the whole batch per shard and applies one
-        concurrent stream per shard.
+        coordinator groups the whole batch per shard and sends each shard one
+        stream.
         """
         return self._request("POST", "/cluster/ingest", {"items": dict(items)})
 

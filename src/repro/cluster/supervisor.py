@@ -24,7 +24,7 @@ Lifecycle
   ``shutdown_timeout``.
 
 The supervisor never retries an op on a worker's behalf; all request-level
-retry discipline lives in the transport client (REP007/REP011).
+retry discipline lives in the transport client (REP011).
 """
 
 from __future__ import annotations

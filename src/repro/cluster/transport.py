@@ -1,10 +1,9 @@
 """Binary shard transport: persistent connections + length-prefixed frames.
 
-The HTTP path (:class:`~repro.cluster.protocol.RemoteShard` over
-:class:`~repro.service.client.StatisticsClient`) opens one TCP connection per
-request and pays HTTP head parsing on both sides.  Spawned shard processes
-(:mod:`repro.cluster.supervisor`) instead speak this binary protocol over a
-small pool of **persistent** connections.
+This is the one wire between the coordinator and a shard that lives in
+another process.  Spawned shard processes (:mod:`repro.cluster.supervisor`)
+speak it over a small pool of **persistent** connections, so no request pays
+a TCP handshake or HTTP head parsing.
 
 Frame format
 ------------
@@ -24,8 +23,8 @@ application error, where ``type`` is the exception class name from
 :mod:`repro.exceptions` (reconstructed on the client from a whitelist -- an
 unknown type degrades to :class:`~repro.exceptions.ServiceError`).
 
-Retry discipline (REP007 / REP011)
-----------------------------------
+Retry discipline (REP011)
+-------------------------
 
 :meth:`BinaryShardClient.call` separates the *connect phase* from the *send*:
 a connect failure cannot have reached the shard and is always retried with
@@ -38,12 +37,11 @@ rule REP011 machine-checks this file for that shape.
 Non-blocking fan-out
 --------------------
 
-:func:`try_pipelined_scatter` is the coordinator's fast path: when every
-target shard is a :class:`ProcessShard` and the per-shard call is a single
-backend method, the calling thread writes every request frame back-to-back
-and then multiplexes the replies with :mod:`selectors` -- one coordinator
-thread drives N shard processes, with no executor thread per shard per
-request.
+:func:`try_pipelined_scatter` takes the coordinator's fan-out legs in the
+wire's own shape, ``{shard_id: (op, args)}``.  When every target shard is a
+:class:`ProcessShard`, the calling thread writes every request frame
+back-to-back and then multiplexes the replies with :mod:`selectors` -- one
+coordinator thread drives N shard processes, with no thread per shard.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ import threading
 import time
 import zlib
 from collections.abc import Mapping
-from typing import Any, Callable
+from typing import Any
 
 from ..exceptions import (
     ClusterError,
@@ -73,7 +71,7 @@ from ..exceptions import (
     UnknownAttributeError,
 )
 from ..obs.trace import Trace, current_trace_id, use_trace
-from .protocol import ShardBackend
+from .protocol import WRITE_OPS, ShardBackend
 
 __all__ = [
     "FrameError",
@@ -109,21 +107,10 @@ IDEMPOTENT_OPS = frozenset(
     {"names", "query", "stats", "stats_all", "snapshot", "health", "generation", "ping"}
 )
 
-#: Positional parameter names per op, for normalising a recorded
-#: ``method(*args, **kwargs)`` into the wire's ``args`` mapping.
-_OP_POSITIONAL: dict[str, tuple[str, ...]] = {
-    "create": ("name", "kind"),
-    "drop": ("name",),
-    "names": (),
-    "ingest": ("name", "insert", "delete"),
-    "query": ("name", "queries"),
-    "stats": ("name",),
-    "stats_all": (),
-    "snapshot": ("name",),
-    "restore": ("name", "snapshot"),
-    "health": (),
-    "generation": ("name",),
-}
+#: The :class:`~repro.cluster.protocol.ShardBackend` methods a worker serves:
+#: every idempotent read but ``ping`` (the server answers that itself), plus
+#: the writes.  A request's ``args`` are the method's keyword arguments.
+_SHARD_OPS = (IDEMPOTENT_OPS - {"ping"}) | WRITE_OPS
 
 #: Exception classes the wire protocol transports by name.
 _EXCEPTION_TYPES: dict[str, type[Exception]] = {
@@ -147,9 +134,9 @@ class FrameError(ConnectionError):
     """A frame failed validation (magic/length/crc) or the peer closed.
 
     Subclasses :class:`ConnectionError` (hence :class:`OSError`) so every
-    existing transport-failure path -- ``RemoteShard``-style wrapping, the
-    retry loops, ``ShardUnavailableError`` classification -- treats a torn or
-    corrupt frame exactly like a dead connection, which is what it means.
+    transport-failure path -- the retry loops, ``ShardUnavailableError``
+    classification -- treats a torn or corrupt frame exactly like a dead
+    connection, which is what it means.
     """
 
 
@@ -299,7 +286,6 @@ class ShardConnection:
 class BinaryShardClient:
     """Client for one :class:`BinaryShardServer`, pooling persistent connections.
 
-    Parameters mirror :class:`~repro.service.client.StatisticsClient`:
     ``retries`` extra attempts after a retriable transport failure, backoff
     doubling from ``retry_backoff``.  The pool keeps up to ``pool_size`` idle
     connections; a scatter can check out more (they are closed on check-in
@@ -474,12 +460,12 @@ class BinaryShardClient:
 class ProcessShard(ShardBackend):
     """A shard served by a spawned process over the binary transport.
 
-    The scatter fast path (:func:`try_pipelined_scatter`) recognises this
-    backend and multiplexes its persistent connections; individual method
-    calls fall back to one blocking round trip.  Transport failures (after
-    the client's bounded retries) are wrapped into
-    :class:`~repro.exceptions.ShardUnavailableError`, exactly like
-    :class:`~repro.cluster.protocol.RemoteShard`.
+    The coordinator's scatter (:func:`try_pipelined_scatter`) multiplexes
+    this backend's persistent connections; individual method calls make one
+    blocking round trip.  Transport failures (after the client's bounded
+    retries) are wrapped into :class:`~repro.exceptions.ShardUnavailableError`
+    carrying this shard's id, so callers can tell "shard down" from "bad
+    request".
     """
 
     def __init__(self, shard_id: str, client: BinaryShardClient) -> None:
@@ -532,6 +518,10 @@ class ProcessShard(ShardBackend):
         return self._call(
             "ingest", {"name": name, "insert": list(insert), "delete": list(delete)}
         )
+
+    def ingest_many(self, items):
+        # One frame for the whole stream; the worker's backend runs the loop.
+        return self._call("ingest_many", {"items": dict(items)})
 
     def query(self, name, queries):
         return self._call("query", {"name": name, "queries": list(queries)})
@@ -637,7 +627,7 @@ class BinaryShardServer:
         try:
             if op == "ping":
                 result: Any = {"status": "ok", "shard": self.backend.shard_id}
-            elif not isinstance(op, str) or op not in _OP_POSITIONAL:
+            elif not isinstance(op, str) or op not in _SHARD_OPS:
                 raise ServiceError(f"unknown shard op {op!r}")
             elif not isinstance(args, Mapping):
                 raise ServiceError("shard op args must be a JSON object")
@@ -680,90 +670,26 @@ class BinaryShardServer:
 
 
 # ----------------------------------------------------------------------
-# non-blocking scatter (coordinator fast path)
+# non-blocking scatter (the coordinator's fan-out over process shards)
 # ----------------------------------------------------------------------
-class _NotSimpleCall(Exception):
-    """The recorded closure did more than one plain backend method call."""
-
-
-class _RecordedResult:
-    """Inert sentinel a recorded call returns; any use means 'not simple'."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str) -> Any:
-        raise _NotSimpleCall()
-
-    def __getitem__(self, key: Any) -> Any:
-        raise _NotSimpleCall()
-
-    def __iter__(self) -> Any:
-        raise _NotSimpleCall()
-
-    def __bool__(self) -> bool:
-        raise _NotSimpleCall()
-
-
-class _CallRecorder:
-    """Duck-types a :class:`ShardBackend` to capture one method invocation."""
-
-    def __init__(self, shard_id: str) -> None:
-        self.shard_id = shard_id
-        self.spec: tuple[str, dict[str, Any]] | None = None
-        self.result: _RecordedResult | None = None
-
-    def __getattr__(self, name: str) -> Callable[..., Any]:
-        if name not in _OP_POSITIONAL:
-            raise _NotSimpleCall()
-
-        def record(*args: Any, **kwargs: Any) -> Any:
-            if self.spec is not None:
-                raise _NotSimpleCall()  # a second backend call in one leg
-            merged = dict(kwargs)
-            positional = _OP_POSITIONAL[name]
-            if len(args) > len(positional):
-                raise _NotSimpleCall()
-            for param, value in zip(positional, args):
-                merged[param] = value
-            self.spec = (name, merged)
-            self.result = _RecordedResult()
-            return self.result
-
-        return record
-
-
 def try_pipelined_scatter(
-    shards: Mapping[str, ShardBackend], call: Callable[[ShardBackend], Any]
+    shards: Mapping[str, ShardBackend], legs: Mapping[str, tuple[str, dict[str, Any]]]
 ) -> dict[str, tuple[bool, Any, float]] | None:
-    """Scatter ``call`` over process shards without executor threads.
+    """Send one ``(op, args)`` leg per process shard without extra threads.
 
-    Returns ``{shard_id: (ok, value, elapsed_s)}`` -- ``value`` is the call's
+    Returns ``{shard_id: (ok, value, elapsed_s)}`` -- ``value`` is the op's
     result when ``ok`` and an exception otherwise (transport failures already
     wrapped as :class:`ShardUnavailableError`, application errors
-    reconstructed) -- or ``None`` when the fast path does not apply: a
-    non-:class:`ProcessShard` member, or a per-shard closure that is more
-    than one plain backend method call (the caller then uses its regular
-    executor fan-out, with identical semantics).
+    reconstructed) -- or ``None`` when some member is not a
+    :class:`ProcessShard` (the caller then runs the legs itself).
     """
     if not shards or not all(
         isinstance(shard, ProcessShard) for shard in shards.values()
     ):
         return None
-    specs: dict[str, tuple[str, dict[str, Any]]] = {}
-    try:
-        for shard_id in shards:
-            recorder = _CallRecorder(shard_id)
-            outcome = call(recorder)  # type: ignore[arg-type]
-            if recorder.spec is None or outcome is not recorder.result:
-                return None
-            specs[shard_id] = recorder.spec
-    except _NotSimpleCall:
-        return None
-    except Exception:
-        # The closure itself failed during recording (e.g. a lookup bug).
-        # Fall back so the executor path surfaces it exactly as before.
-        return None
-    return _execute_scatter({sid: (shards[sid], specs[sid]) for sid in shards})  # type: ignore[dict-item]
+    return _execute_scatter(
+        {shard_id: (shard, legs[shard_id]) for shard_id, shard in shards.items()}
+    )
 
 
 def _execute_scatter(

@@ -10,11 +10,10 @@ active :class:`Trace`; when a request finishes above the configured
 slow-request threshold, the trace is emitted as one structured JSON line.
 
 The active trace rides a ``threading.local``: :func:`use_trace` activates a
-trace for the current thread (the HTTP client attaches the active trace's id
-to outgoing requests automatically), and fan-out code captures
-:func:`current_trace` *before* submitting work to a thread pool, then
-re-activates it inside the worker -- that is how one trace spans the
-coordinator's concurrent shard legs.
+trace for the current thread.  The HTTP client attaches the active trace's
+id to outgoing requests automatically, and the binary shard transport puts
+it in every request frame's envelope; the worker re-activates it around the
+op it serves -- that is how one trace spans the coordinator's shard legs.
 
 Span recording appends to a list under the trace's own lock -- a leaf lock,
 like the metric locks (see :mod:`repro.obs.registry`): no span or metric
@@ -60,8 +59,8 @@ class Trace:
     """One request's identity plus its recorded spans.
 
     Spans are ``(name, offset_s, duration_s)`` triples relative to the
-    trace's start; :meth:`span` may be entered concurrently from many
-    fan-out threads (appends serialise on the trace's leaf lock).
+    trace's start; :meth:`span` and :meth:`add_span` may be called from any
+    thread (appends serialise on the trace's leaf lock).
     """
 
     __slots__ = ("trace_id", "started", "_lock", "_spans")

@@ -10,20 +10,18 @@ Attribute names are URL-escaped with :func:`urllib.parse.quote` (``safe=''``),
 so names containing ``/``, spaces or ``%`` route correctly; the server
 unquotes each path segment on the way in.
 
-Connection failures are retried with bounded exponential backoff (the cluster
-coordinator's scatter-gather fan-out hits shards that may still be binding or
-briefly restarting).  Retries never risk double-applying a write: a *connect*
-failure is always retriable because nothing reached the server, while a
-failure after the request was handed to the transport is only retried for
-idempotent ``GET`` requests -- a ``POST`` whose fate is unknown is raised
-immediately so the caller decides.
+Connection failures are retried with bounded exponential backoff (a server
+may still be binding or briefly restarting).  Retries never risk
+double-applying a write: a *connect* failure is always retriable because
+nothing reached the server, while a failure after the request was handed to
+the transport is only retried for idempotent ``GET`` requests -- a ``POST``
+whose fate is unknown is raised immediately so the caller decides (REP011).
 """
 
 from __future__ import annotations
 
 import json
 import re
-import threading
 import time
 from http.client import HTTPConnection, HTTPException
 from collections.abc import Mapping, Sequence
@@ -67,40 +65,6 @@ class StatisticsClient:
             require_positive_float(retry_backoff, "retry_backoff")
         self.retries = int(retries)
         self.retry_backoff = float(retry_backoff)
-        # Transport telemetry: connect-retry attempts and total backoff time.
-        # Always kept as a client-side stat; additionally mirrored into a
-        # metrics registry after bind_metrics() (RemoteShard does this so the
-        # coordinator's registry sees per-endpoint retry behaviour).
-        self.transport_stats = {"connect_retries": 0, "backoff_seconds": 0.0}
-        self._stats_lock = threading.Lock()
-        self._m_connect_retries: Any | None = None
-        self._m_backoff_seconds: Any | None = None
-        self._endpoint = f"{host}:{port}"
-
-    def bind_metrics(self, metrics: Any) -> None:
-        """Mirror transport stats into ``metrics`` with an endpoint label."""
-        self._m_connect_retries = metrics.counter(
-            "repro_client_connect_retries_total",
-            "Connection attempts that failed and were retried, per endpoint",
-            labelnames=("endpoint",),
-        )
-        self._m_backoff_seconds = metrics.counter(
-            "repro_client_retry_backoff_seconds_total",
-            "Total time slept in retry backoff, per endpoint",
-            labelnames=("endpoint",),
-        )
-
-    def _record_connect_failure(self) -> None:
-        with self._stats_lock:
-            self.transport_stats["connect_retries"] += 1
-        if self._m_connect_retries is not None:
-            self._m_connect_retries.inc(1, endpoint=self._endpoint)
-
-    def _record_backoff(self, pause: float) -> None:
-        with self._stats_lock:
-            self.transport_stats["backoff_seconds"] += pause
-        if self._m_backoff_seconds is not None:
-            self._m_backoff_seconds.inc(pause, endpoint=self._endpoint)
 
     # ------------------------------------------------------------------
     # transport
@@ -118,12 +82,11 @@ class StatisticsClient:
         trace_id = current_trace_id()
         if trace_id is not None:
             headers[TRACE_HEADER] = trace_id
+        idempotent = method == "GET"
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
             if attempt:
-                pause = self.retry_backoff * (2 ** (attempt - 1))
-                self._record_backoff(pause)
-                time.sleep(pause)
+                time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
             connection = HTTPConnection(self.host, self.port, timeout=self.timeout)
             try:
                 try:
@@ -131,7 +94,6 @@ class StatisticsClient:
                     # have reached the server, so it is always safe to retry.
                     connection.connect()
                 except OSError as error:
-                    self._record_connect_failure()
                     last_error = error
                     continue
                 try:
@@ -141,7 +103,7 @@ class StatisticsClient:
                 except (OSError, HTTPException) as error:
                     # The request may or may not have been processed; only an
                     # idempotent GET can be retried without double-applying.
-                    if method != "GET":
+                    if not idempotent:
                         raise
                     last_error = error
                     continue

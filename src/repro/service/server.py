@@ -152,9 +152,9 @@ class EdgeHandler(BaseHTTPRequestHandler):
                 self._trace_id = trace.trace_id
             start = time.perf_counter()
         # The trace is active for the whole dispatch, so coordinator fan-out
-        # legs (which capture it before crossing into the thread pool) carry
-        # the same id down to every shard request.  use_trace(None) is a
-        # no-op context: the untraced path pays one threading.local swap.
+        # legs (which run on this thread) stamp the same id on every shard
+        # request frame.  use_trace(None) is a no-op context: the untraced
+        # path pays one threading.local swap.
         with use_trace(trace):
             self._handle_inner(method)
         if observer is not None:

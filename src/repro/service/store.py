@@ -25,10 +25,9 @@ Locking model
 
 Every mutation bumps the attribute's *generation* counter and republishes, so
 clients can detect staleness across snapshot/restore cycles.
-:meth:`HistogramStore.query` pins ONE published snapshot for a read-only
-batch, so the result list describes a single histogram state (no torn
-estimates) without any lock acquisition; batches containing an op outside the
-read-only set fall back to the historical locked path.
+:meth:`HistogramStore.query` pins ONE published snapshot for a whole batch,
+so the result list describes a single histogram state (no torn estimates)
+without any lock acquisition.
 """
 
 from __future__ import annotations
@@ -96,9 +95,9 @@ def evaluate_queries(histogram: Any, queries: Sequence[Mapping[str, Any]]) -> li
     ``equal`` / ``cdf`` / ``total`` / ``selectivity``), shared with the
     cluster coordinator, which evaluates the same batches against merged
     global histograms.  Consistency is the *caller's* concern: the store runs
-    read-only batches against a pinned published snapshot (mixed batches
-    under the attribute lock), the coordinator against an immutable merged
-    snapshot.
+    every batch against a pinned published snapshot, the coordinator against
+    an immutable merged snapshot.  An unknown op raises
+    :class:`~repro.exceptions.ConfigurationError`.
     """
     results: list[Any] = []
     for query in queries:
@@ -128,12 +127,6 @@ def evaluate_queries(histogram: Any, queries: Sequence[Mapping[str, Any]]) -> li
         else:
             raise ConfigurationError(f"unknown estimate op {op!r}")
     return results
-
-
-#: Query ops servable from a published snapshot.  A batch whose every op is in
-#: this set never needs the attribute lock; anything else (in practice only a
-#: batch carrying an unknown op, which must raise) takes the locked path.
-_READ_ONLY_OPS = frozenset({"range", "equal", "cdf", "total", "selectivity"})
 
 
 @dataclass(frozen=True)
@@ -799,52 +792,28 @@ class HistogramStore:
         * ``{"op": "total"}`` -> total count,
         * ``{"op": "selectivity", "low": .., "high": ..}`` -> fraction.
 
-        A read-only batch (every op in the query language above) pins the
-        published snapshot once and evaluates the whole batch against it, so
-        the returned ``results`` are mutually consistent -- they describe one
-        histogram state, identified by the returned ``generation`` -- without
-        taking any lock.  Batches containing an op outside the read-only set
-        fall back to :meth:`_query_locked`.
+        The batch pins the published snapshot once and evaluates every
+        query against it, so the returned ``results`` are mutually
+        consistent -- they describe one histogram state, identified by the
+        returned ``generation`` -- without taking any lock.  An unknown op
+        raises :class:`~repro.exceptions.ConfigurationError`.
         """
         start = time.perf_counter()
-        attribute = self._attribute(name)
-        if all(query.get("op") in _READ_ONLY_OPS for query in queries):
-            # RCU read side: ONE reference load pins an immutable
-            # (generation, snapshot) pair for the whole batch.
-            published = attribute.published
-            response = {
-                "generation": published.generation,
-                "results": evaluate_queries(published.snapshot, queries),
-            }
-            served_from_published = True
-        else:
-            response = self._query_locked(name, queries)
-            served_from_published = False
+        # RCU read side: ONE reference load pins an immutable
+        # (generation, snapshot) pair for the whole batch.
+        published = self._attribute(name).published
+        response = {
+            "generation": published.generation,
+            "results": evaluate_queries(published.snapshot, queries),
+        }
         # Telemetry strictly after the batch is evaluated, outside any lock.
         if self._m_op_seconds is not None:
             self._m_op_seconds.observe(time.perf_counter() - start, op="query")
             self._m_reads.inc(1, attribute=name, op="query")
-            if served_from_published:
-                self._m_published_reads.inc(1, attribute=name)
+            self._m_published_reads.inc(1, attribute=name)
         if self._sampler is not None:
             self._sampler.maybe_check(name, queries, response["results"])
         return response
-
-    def _query_locked(self, name: str, queries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
-        """Evaluate a query batch under the attribute lock (historical path).
-
-        Kept for batches the published snapshot cannot serve -- in practice
-        only batches carrying an unknown op, which must raise
-        :class:`~repro.exceptions.ConfigurationError` exactly as before --
-        and as the locked-read ablation baseline for the benchmark matrix's
-        ``read_locked_single`` cell.
-        """
-        attribute = self._attribute(name)
-        with attribute.lock:
-            return {
-                "generation": attribute.generation,
-                "results": evaluate_queries(attribute.histogram, queries),
-            }
 
     # ------------------------------------------------------------------
     # stats

@@ -33,6 +33,10 @@ LOCKCHECK_MODULES = frozenset(
         "test_spawned_cluster",
         "test_obs",
         "test_profile",
+        "test_transport",
+        "test_cluster_coordinator",
+        "test_cluster_server",
+        "test_http_edge",
     }
 )
 

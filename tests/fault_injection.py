@@ -14,9 +14,12 @@ exact crash windows that matter for exactly-once semantics:
 * **fail-N-then-heal** -- either of the above N times, then healthy again.
 
 All failures surface as ``ShardUnavailableError`` carrying the shard id,
-exactly what a :class:`~repro.cluster.protocol.RemoteShard` raises for a
+exactly what a :class:`~repro.cluster.transport.ProcessShard` raises for a
 dead transport, so the coordinator cannot tell the double from the real
-thing.
+thing.  A batch stream (``ingest_many``, inherited from
+:class:`~repro.cluster.protocol.ShardBackend`) runs through the scripted
+``ingest``, so a failure can cut a stream short after its first attributes
+applied.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ def findings(source: str, rel_path: str, *rule_ids: str) -> list[str]:
 class TestRegistry:
     def test_catalog_is_complete(self):
         ids = [rule.rule_id for rule in all_rules()]
-        assert ids == [f"REP00{i}" for i in range(1, 10)] + ["REP010", "REP011"]
+        # REP007 (the HTTP client's retry rule) was folded into REP011.
+        assert ids == [f"REP00{i}" for i in (1, 2, 3, 4, 5, 6, 8, 9)] + ["REP010", "REP011"]
 
     def test_every_rule_documents_itself(self):
         for rule in all_rules():
@@ -249,6 +250,15 @@ class TestRep005GenerationBeforeSnapshot:
         """
         assert findings(source, self.PATH, "REP005") == []
 
+    def test_flags_snapshot_leg_before_generation_leg(self):
+        source = """
+            def bad(self, name, pieces):
+                snaps = self._gather_pieces(name, pieces, "snapshot")
+                key = self._gather_pieces(name, pieces, "generation")
+                return key, snaps
+        """
+        assert findings(source, self.PATH, "REP005") == ["REP005"]
+
 
 class TestRep006ViewHeldAcrossMutation:
     PATH = "src/repro/core/consumer.py"
@@ -297,6 +307,10 @@ class TestRep006ViewHeldAcrossMutation:
 
 
 class TestRep007NoPostRetry:
+    """The HTTP client's retry fixtures.  REP007 checked them until it was
+    folded into REP011, which now covers the HTTP client and the binary
+    transport with one rule (the class name keeps the test ids stable)."""
+
     PATH = "src/repro/service/client.py"
 
     def test_flags_unguarded_retry_after_send(self):
@@ -309,21 +323,22 @@ class TestRep007NoPostRetry:
                     except OSError:
                         continue
         """
-        assert findings(source, self.PATH, "REP007") == ["REP007"]
+        assert findings(source, self.PATH, "REP011") == ["REP011"]
 
     def test_passes_get_guarded_retry(self):
         source = """
             def good(self, connection, method, path):
+                idempotent = method == "GET"
                 for attempt in range(3):
                     try:
                         connection.request(method, path)
                         return connection.getresponse()
                     except OSError:
-                        if method != "GET":
+                        if not idempotent:
                             raise
                         continue
         """
-        assert findings(source, self.PATH, "REP007") == []
+        assert findings(source, self.PATH, "REP011") == []
 
     def test_passes_connect_phase_retry(self):
         source = """
@@ -334,7 +349,7 @@ class TestRep007NoPostRetry:
                     except OSError:
                         continue
         """
-        assert findings(source, self.PATH, "REP007") == []
+        assert findings(source, self.PATH, "REP011") == []
 
     def test_scope_is_clients_only(self):
         source = """
@@ -345,7 +360,8 @@ class TestRep007NoPostRetry:
                     except OSError:
                         continue
         """
-        assert findings(source, "src/repro/service/store.py", "REP007") == []
+        assert findings(source, "src/repro/cluster/server.py", "REP011") == ["REP011"]
+        assert findings(source, "src/repro/service/store.py", "REP011") == []
 
 
 class TestRep008CompactionUnderLock:
@@ -501,10 +517,9 @@ class TestRep010LockFreeReads:
 
     def test_passes_locked_fallback_helper(self):
         source = """
-            def _query_locked(self, name, queries):
-                attribute = self._attribute(name)
+            def _stats_locked(self, attribute):
                 with attribute.lock:
-                    return evaluate_queries(attribute.histogram, queries)
+                    return attribute.histogram.total_count
         """
         assert findings(source, self.PATH, "REP010") == []
 

@@ -1,22 +1,30 @@
 """Tests for the scatter-gather ClusterCoordinator over in-process shards."""
 
+import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro import ClusterError, ConfigurationError, HistogramStore, UnknownAttributeError
-from repro.cluster import ClusterCoordinator, LocalShard
+from repro.cluster import (
+    BinaryShardClient,
+    BinaryShardServer,
+    ClusterCoordinator,
+    LocalShard,
+    ProcessShard,
+    ShardRouter,
+)
+from repro.cluster.coordinator import INGEST_LEG_VALUES, _stream_legs
 from repro.distributed.union import reduce_segments, superimpose
 from repro.persistence import histogram_from_dict
+from repro.service import DurabilityConfig
 
 
 @pytest.fixture
 def coordinator():
-    with ClusterCoordinator(
-        [LocalShard(f"shard-{i}") for i in range(4)], global_buckets=48
-    ) as running:
-        yield running
+    return ClusterCoordinator([LocalShard(f"shard-{i}") for i in range(4)], global_buckets=48)
 
 
 def ingest_uniform(coordinator, name, n=8000, domain=(0.0, 5000.0), seed=3):
@@ -128,6 +136,119 @@ class TestScatterGatherIngest:
     def test_unknown_attribute_propagates(self, coordinator):
         with pytest.raises(UnknownAttributeError):
             coordinator.ingest("ghost", insert=[1.0])
+
+
+class TestIngestMany:
+    def test_applies_a_stream_in_order_and_stops_at_the_first_failure(self):
+        applied = []
+
+        class RecordingShard(LocalShard):
+            def ingest(self, name, insert=(), delete=()):
+                applied.append(name)
+                return super().ingest(name, insert=insert, delete=delete)
+
+        shard = RecordingShard("shard-0")
+        shard.create("a", "dc", memory_kb=0.5)
+        shard.create("c", "dc", memory_kb=0.5)
+        counts = shard.ingest_many(
+            {"c": {"insert": [1.0, 2.0, 3.0], "delete": [1.0]}, "a": {"insert": [4.0]}}
+        )
+        assert counts == {"inserted": 4, "deleted": 1}
+        assert applied == ["c", "a"]
+
+        applied.clear()
+        with pytest.raises(UnknownAttributeError):
+            shard.ingest_many(
+                {"a": {"insert": [5.0]}, "ghost": {"insert": [6.0]}, "c": {"insert": [7.0]}}
+            )
+        assert applied == ["a", "ghost"]
+        assert shard.store.total_count("a") == pytest.approx(2.0)
+        assert shard.store.total_count("c") == pytest.approx(2.0)
+
+    def test_streams_are_cut_into_legs_without_splitting_an_attribute(self):
+        def values(count):
+            return {"insert": [1.0] * (count - count // 4), "delete": [1.0] * (count // 4)}
+
+        small = INGEST_LEG_VALUES // 4
+        stream = {
+            "a": values(small),
+            "b": values(small),
+            "c": values(INGEST_LEG_VALUES + 1),
+            "d": values(3 * small),
+            "e": values(small + 1),
+        }
+        legs = _stream_legs(stream)
+        assert [list(leg) for leg in legs] == [["a", "b"], ["c"], ["d"], ["e"]]
+        assert [name for leg in legs for name in leg] == list(stream)
+
+    def test_a_stream_longer_than_the_call_timeout_still_applies(self):
+        # Each attribute alone applies well inside the client's 1 s timeout;
+        # the whole 1.6 s stream does not, so it must go out in several legs.
+        class SlowShard(LocalShard):
+            def ingest(self, name, insert=(), delete=()):
+                time.sleep((len(insert) + len(delete)) * 1e-4)
+                return super().ingest(name, insert=insert, delete=delete)
+
+        names = ["a", "b", "c", "d"]
+        values = [float(v % 100) for v in range(4000)]
+        backend = SlowShard("shard-0")
+        with BinaryShardServer(backend) as server:
+            client = BinaryShardClient(*server.address, timeout=1.0)
+            try:
+                coordinator = ClusterCoordinator([ProcessShard("shard-0", client)])
+                for name in names:
+                    coordinator.create(name, "dc", memory_kb=0.5)
+                response = coordinator.ingest_batch({name: values for name in names})
+            finally:
+                client.close()
+        assert "failed_replicas" not in response
+        assert response["per_shard"] == {"shard-0": 16000}
+        assert coordinator.stale_replicas() == []
+        for name in names:
+            assert backend.store.total_count(name) == pytest.approx(4000.0)
+
+
+class TestFanOutThreads:
+    def test_fan_outs_start_no_threads(self):
+        before = threading.active_count()
+        coordinator = ClusterCoordinator([LocalShard("shard-0"), LocalShard("shard-1")])
+        coordinator.create("age", "dc", memory_kb=0.5)
+        coordinator.create("hot", "dc", memory_kb=0.5, partition_boundaries=[100.0])
+        coordinator.ingest("age", insert=[1.0, 2.0])
+        coordinator.ingest_batch({"age": [3.0], "hot": [50.0, 150.0]})
+        assert coordinator.total_count("hot") == pytest.approx(2.0)
+        coordinator.stats()
+        coordinator.drop("hot")
+        assert threading.active_count() == before
+
+    def test_write_legs_waiting_on_fsync_overlap(self, tmp_path, monkeypatch):
+        stores = [
+            HistogramStore(durability=DurabilityConfig(tmp_path / f"shard-{i}", fsync=True))
+            for i in range(2)
+        ]
+        coordinator = ClusterCoordinator(
+            [LocalShard(f"shard-{i}", store) for i, store in enumerate(stores)],
+            router=ShardRouter(["shard-0", "shard-1"], replication_factor=2),
+        )
+        coordinator.create("age", "dc", memory_kb=0.5)
+        # Each replica's WAL append waits in fsync until the other one does:
+        # legs run one after another would break the barrier.
+        both_waiting = threading.Barrier(2, timeout=5.0)
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            both_waiting.wait()
+            real_fsync(fd)
+
+        before = threading.active_count()
+        monkeypatch.setattr(os, "fsync", fsync)
+        response = coordinator.ingest("age", insert=[1.0, 2.0])
+        monkeypatch.undo()
+        assert "failed_replicas" not in response
+        assert threading.active_count() == before
+        for store in stores:
+            assert store.total_count("age") == pytest.approx(2.0)
+            store.close()
 
 
 class TestMergedEstimates:
@@ -256,7 +377,6 @@ class TestRebalance:
         assert not mover.is_alive()
         assert coordinator.router.shard_for("age") == "target"
         assert coordinator.total_count("age") == pytest.approx(1001.0)
-        coordinator.close()
 
     def test_failed_move_replays_buffer_onto_source(self):
         restore_entered = threading.Event()
@@ -292,7 +412,6 @@ class TestRebalance:
         assert failure, "rebalance should have propagated the restore failure"
         assert coordinator.router.shard_for("age") == "source"
         assert coordinator.total_count("age") == pytest.approx(102.0)
-        coordinator.close()
 
     def test_drain_moves_every_homed_attribute(self, coordinator):
         for index in range(6):

@@ -58,23 +58,20 @@ def test_cached_merge_always_equals_from_scratch_rebuild(ops):
     coordinator = ClusterCoordinator(
         [LocalShard(f"shard-{i}") for i in range(3)], global_buckets=GLOBAL_BUCKETS
     )
-    try:
-        coordinator.create("hot", "dc", memory_kb=0.5, partition_boundaries=BOUNDARIES)
-        inserted = []
-        for op in ops:
-            if op is None:
-                cached = coordinator.merged_histogram("hot")
-                assert buckets_of(cached) == buckets_of(from_scratch_merge(coordinator, "hot"))
-            else:
-                coordinator.ingest("hot", insert=op)
-                inserted.extend(op)
-        # Final checkpoint: the cache (whatever mix of hits and rebuilds it
-        # went through) must equal the from-scratch merge, and conserve mass.
-        final = coordinator.merged_histogram("hot")
-        assert buckets_of(final) == buckets_of(from_scratch_merge(coordinator, "hot"))
-        assert abs(final.total_count - len(inserted)) <= 1e-6 * max(1, len(inserted))
-    finally:
-        coordinator.close()
+    coordinator.create("hot", "dc", memory_kb=0.5, partition_boundaries=BOUNDARIES)
+    inserted = []
+    for op in ops:
+        if op is None:
+            cached = coordinator.merged_histogram("hot")
+            assert buckets_of(cached) == buckets_of(from_scratch_merge(coordinator, "hot"))
+        else:
+            coordinator.ingest("hot", insert=op)
+            inserted.extend(op)
+    # Final checkpoint: the cache (whatever mix of hits and rebuilds it
+    # went through) must equal the from-scratch merge, and conserve mass.
+    final = coordinator.merged_histogram("hot")
+    assert buckets_of(final) == buckets_of(from_scratch_merge(coordinator, "hot"))
+    assert abs(final.total_count - len(inserted)) <= 1e-6 * max(1, len(inserted))
 
 
 class CountingShard(LocalShard):
@@ -94,37 +91,34 @@ def test_incremental_merge_refetches_only_moved_pieces():
     shards = [CountingShard(f"shard-{i}") for i in range(4)]
     coordinator = ClusterCoordinator(shards, global_buckets=GLOBAL_BUCKETS)
     by_id = {shard.shard_id: shard for shard in shards}
-    try:
-        coordinator.create("hot", "dc", memory_kb=0.5, partition_boundaries=BOUNDARIES)
-        coordinator.ingest("hot", insert=[50.0, 150.0, 250.0, 350.0])
-        coordinator.merged_histogram("hot")
-        baseline = {shard.shard_id: shard.snapshot_calls for shard in shards}
+    coordinator.create("hot", "dc", memory_kb=0.5, partition_boundaries=BOUNDARIES)
+    coordinator.ingest("hot", insert=[50.0, 150.0, 250.0, 350.0])
+    coordinator.merged_histogram("hot")
+    baseline = {shard.shard_id: shard.snapshot_calls for shard in shards}
 
-        # No writes since the rebuild: a pure cache hit, zero fetches.
-        coordinator.merged_histogram("hot")
-        assert {s.shard_id: s.snapshot_calls for s in shards} == baseline
+    # No writes since the rebuild: a pure cache hit, zero fetches.
+    coordinator.merged_histogram("hot")
+    assert {s.shard_id: s.snapshot_calls for s in shards} == baseline
 
-        # Move exactly ONE piece (both values inside the first piece's
-        # range): the next merge must re-fetch only that piece's shard and
-        # reuse every retained member for the others.
-        partition = coordinator.router.partition_for("hot")
-        moved_shard = partition.piece_shard_ids[0]
-        coordinator.ingest("hot", insert=[10.0, 20.0])
-        coordinator.merged_histogram("hot")
-        expected = {
-            shard_id: count + (1 if shard_id == moved_shard else 0)
-            for shard_id, count in baseline.items()
-        }
-        assert {s.shard_id: s.snapshot_calls for s in shards} == expected
-        assert by_id[moved_shard].snapshot_calls == baseline[moved_shard] + 1
+    # Move exactly ONE piece (both values inside the first piece's
+    # range): the next merge must re-fetch only that piece's shard and
+    # reuse every retained member for the others.
+    partition = coordinator.router.partition_for("hot")
+    moved_shard = partition.piece_shard_ids[0]
+    coordinator.ingest("hot", insert=[10.0, 20.0])
+    coordinator.merged_histogram("hot")
+    expected = {
+        shard_id: count + (1 if shard_id == moved_shard else 0)
+        for shard_id, count in baseline.items()
+    }
+    assert {s.shard_id: s.snapshot_calls for s in shards} == expected
+    assert by_id[moved_shard].snapshot_calls == baseline[moved_shard] + 1
 
-        # And the incrementally maintained merge is still bit-identical to a
-        # from-scratch superimpose + reduce over current piece snapshots.
-        assert buckets_of(coordinator.merged_histogram("hot")) == buckets_of(
-            from_scratch_merge(coordinator, "hot")
-        )
-    finally:
-        coordinator.close()
+    # And the incrementally maintained merge is still bit-identical to a
+    # from-scratch superimpose + reduce over current piece snapshots.
+    assert buckets_of(coordinator.merged_histogram("hot")) == buckets_of(
+        from_scratch_merge(coordinator, "hot")
+    )
 
 
 @settings(max_examples=20, deadline=None)
@@ -139,15 +133,12 @@ def test_merged_total_equals_sum_of_piece_totals(values):
     coordinator = ClusterCoordinator(
         [LocalShard(f"shard-{i}") for i in range(3)], global_buckets=GLOBAL_BUCKETS
     )
-    try:
-        coordinator.create("hot", "dc", memory_kb=0.5, partition_boundaries=BOUNDARIES)
-        if values:
-            coordinator.ingest("hot", insert=values)
-        partition = coordinator.router.partition_for("hot")
-        piece_total = sum(
-            coordinator.shard(sid).store.total_count("hot")
-            for sid in partition.piece_shard_ids
-        )
-        assert abs(coordinator.total_count("hot") - piece_total) <= 1e-6 * max(1.0, piece_total)
-    finally:
-        coordinator.close()
+    coordinator.create("hot", "dc", memory_kb=0.5, partition_boundaries=BOUNDARIES)
+    if values:
+        coordinator.ingest("hot", insert=values)
+    partition = coordinator.router.partition_for("hot")
+    piece_total = sum(
+        coordinator.shard(sid).store.total_count("hot")
+        for sid in partition.piece_shard_ids
+    )
+    assert abs(coordinator.total_count("hot") - piece_total) <= 1e-6 * max(1.0, piece_total)

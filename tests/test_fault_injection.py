@@ -27,10 +27,7 @@ def cluster():
     shards = [FlakyShard(LocalShard(f"shard-{index}")) for index in range(N_SHARDS)]
     router = ShardRouter([shard.shard_id for shard in shards], replication_factor=2)
     coordinator = ClusterCoordinator(shards, router=router, global_buckets=32)
-    try:
-        yield coordinator, {shard.shard_id: shard for shard in shards}
-    finally:
-        coordinator.close()
+    yield coordinator, {shard.shard_id: shard for shard in shards}
 
 
 def replica_pair(coordinator, by_id, name):
@@ -199,6 +196,37 @@ class TestExactlyOnceWrites:
             assert identical_snapshots(by_id[replicas[0]], by_id[replicas[1]], "age")
         for replicas in coordinator.router.replica_sets_for("hot"):
             assert identical_snapshots(by_id[replicas[0]], by_id[replicas[1]], "hot")
+
+    def test_stream_failing_after_its_first_attribute_marks_the_whole_stream(self, cluster):
+        coordinator, by_id = cluster
+        names = [f"attribute-{index}" for index in range(8)]
+        for name in names:
+            coordinator.create(name, "dc", memory_kb=0.5)
+        victim = by_id["shard-0"]
+        stream = [
+            name for name in names if victim.shard_id in coordinator.router.replicas_for(name)
+        ]
+        assert len(stream) >= 2
+
+        # The victim's first attribute applies, then its reply is lost: the
+        # ingest_many stream stops there, so the rest never reach the shard.
+        victim.fail_next_ingests(1, when="after")
+        result = coordinator.ingest_batch(
+            {name: [float(index)] * 10 for index, name in enumerate(names)}
+        )
+        assert result["inserted"] == 80
+        assert result["failed_replicas"] == sorted(f"{name}@{victim.shard_id}" for name in stream)
+        assert coordinator.stale_replicas() == sorted((name, victim.shard_id) for name in stream)
+        assert [exact_total(victim, name) for name in stream] == [10.0] + [0.0] * (len(stream) - 1)
+
+        coordinator.resync(victim.shard_id)
+        assert coordinator.stale_replicas() == []
+        for name in stream:
+            [sibling] = [
+                sid for sid in coordinator.router.replicas_for(name) if sid != victim.shard_id
+            ]
+            assert identical_snapshots(victim, by_id[sibling], name)
+            assert coordinator.total_count(name) == pytest.approx(10.0)
 
     def test_partitioned_write_fails_only_when_whole_piece_group_is_down(self, cluster):
         coordinator, by_id = cluster
@@ -388,14 +416,11 @@ class TestOperationalGuards:
     def test_resync_reports_unrecoverable_rf1_attributes(self):
         shards = [FlakyShard(LocalShard(f"shard-{index}")) for index in range(2)]
         coordinator = ClusterCoordinator(shards, global_buckets=16)  # RF = 1
-        try:
-            coordinator.create("age", "dc", memory_kb=0.5)
-            home = coordinator.router.shard_for("age")
-            report = coordinator.resync(home)
-            assert report["unrecoverable"] == ["age"]
-            assert report["resynced"] == {}
-        finally:
-            coordinator.close()
+        coordinator.create("age", "dc", memory_kb=0.5)
+        home = coordinator.router.shard_for("age")
+        report = coordinator.resync(home)
+        assert report["unrecoverable"] == ["age"]
+        assert report["resynced"] == {}
 
 
 class TestResyncOverHttp:

@@ -5,21 +5,25 @@ Covers the PR-7 acceptance bar end to end:
 * the metrics registry conserves counts under concurrent writers while
   scraping readers never observe a torn per-metric snapshot;
 * a trace id entering the cluster edge is demonstrably propagated down to
-  every shard HTTP request (coordinator -> RemoteShard -> StatisticsServer);
+  every shard op (coordinator -> ProcessShard -> BinaryShardServer), merged
+  reads included;
 * ``GET /metrics`` serves well-formed Prometheus text on both server kinds;
 * pipeline requeue/drop counters surface through the ``/stats`` route;
-* client connect-retry telemetry lands in both ``transport_stats`` and the
-  bound registry counters;
+* transport connect-retry telemetry lands in both ``transport_stats`` and
+  the bound registry counters;
 * the accuracy sampler reports near-zero selectivity error on an exact
   shadow and disables itself on overflow.
 
 This module runs under the dynamic lock-order monitor (``LOCKCHECK_MODULES``
 in conftest.py): any metric update that acquired a store lock, or blocked on
-socket I/O while holding an obs lock, would fail these tests.
+socket I/O while holding an obs lock, would fail these tests -- and so would
+a merged read that fetched piece snapshots while holding the coordinator's
+merge lock.
 """
 
 from __future__ import annotations
 
+import socket
 import threading
 
 import pytest
@@ -30,16 +34,18 @@ from repro import (
     ClusterServer,
     HistogramStore,
     IngestPipeline,
-    RemoteShard,
+    LocalShard,
     StatisticsClient,
     StatisticsServer,
 )
+from repro.cluster import BinaryShardClient, BinaryShardServer, ProcessShard
 from repro.obs import (
     LATENCY_BUCKETS_S,
     AccuracySampler,
     MetricsRegistry,
     Trace,
     current_trace,
+    current_trace_id,
     new_trace_id,
     route_label,
     use_trace,
@@ -177,23 +183,41 @@ class TestTraceContext:
         assert route_label(("no", "such", "route", "x")) == "/other"
 
 
-class TestTracePropagation:
-    """A trace id at the cluster edge reaches every shard HTTP request."""
+class _TraceRecordingBackend:
+    """A shard backend that records the trace id active for every op it serves."""
 
-    def test_cluster_trace_id_reaches_shard_slow_log(self):
-        shard_entries: list[dict] = []
+    def __init__(self, inner: LocalShard, seen: list) -> None:
+        self.inner = inner
+        self.shard_id = inner.shard_id
+        self.seen = seen
+
+    def __getattr__(self, op: str):
+        method = getattr(self.inner, op)
+
+        def record(**args):
+            self.seen.append((self.shard_id, op, current_trace_id()))
+            return method(**args)
+
+        return record
+
+
+class TestTracePropagation:
+    """A trace id at the cluster edge reaches every shard op over the wire."""
+
+    def test_cluster_trace_id_reaches_every_shard_op(self):
+        seen: list[tuple[str, str, str | None]] = []
         cluster_entries: list[dict] = []
         registry = MetricsRegistry()
-        store_a, store_b = HistogramStore(), HistogramStore()
-        with StatisticsServer(
-            store_a, slow_request_ms=0.0, trace_sink=shard_entries.append
-        ) as backend_a, StatisticsServer(
-            store_b, slow_request_ms=0.0, trace_sink=shard_entries.append
-        ) as backend_b:
-            shards = [
-                RemoteShard("shard-0", StatisticsClient(*backend_a.address)),
-                RemoteShard("shard-1", StatisticsClient(*backend_b.address)),
-            ]
+        stores = [HistogramStore(), HistogramStore()]
+        servers = [
+            BinaryShardServer(_TraceRecordingBackend(LocalShard(f"shard-{i}", store), seen)).start()
+            for i, store in enumerate(stores)
+        ]
+        shards = [
+            ProcessShard(f"shard-{i}", BinaryShardClient(*server.address))
+            for i, server in enumerate(servers)
+        ]
+        try:
             coordinator = ClusterCoordinator(shards, metrics=registry)
             with ClusterServer(
                 coordinator,
@@ -203,23 +227,31 @@ class TestTracePropagation:
             ) as front:
                 client = ClusterClient(*front.address)
                 client.create("age", "dc", memory_kb=0.5)
-                client.ingest("age", insert=[float(v % 50) for v in range(500)])
+                client.create("hot", "dc", memory_kb=0.5, partition_boundaries=[25.0])
+                values = [float(v % 50) for v in range(500)]
+                client.ingest("age", insert=values)
+                client.ingest("hot", insert=values)
                 assert client.total_count("age") == pytest.approx(500.0)
+                assert client.total_count("hot") == pytest.approx(500.0)
+        finally:
+            for shard in shards:
+                shard.client.close()
+            for server in servers:
+                server.stop()
+            for store in stores:
+                store.close()
 
-        assert cluster_entries and shard_entries
         cluster_ids = {entry["trace_id"] for entry in cluster_entries}
-        shard_ids = {entry["trace_id"] for entry in shard_entries}
-        # Every shard-side request was made on behalf of a cluster request:
-        # its trace id is one the cluster edge generated, not a fresh one.
-        assert shard_ids <= cluster_ids
-        assert shard_ids, "no shard request carried a cluster trace id"
-        # Fan-out spans recorded under the same trace made it into the log.
-        spanned = [entry for entry in cluster_entries if entry.get("spans")]
-        assert any(
-            span["name"].startswith(("fanout:", "shard:"))
-            for entry in spanned
-            for span in entry["spans"]
-        )
+        assert {op for _, op, _ in seen} >= {"create", "ingest", "query", "generation", "snapshot"}
+        # Every shard op was made on behalf of a cluster request: its trace
+        # id is one the cluster edge generated, never a fresh one or none.
+        assert {trace_id for _, _, trace_id in seen} <= cluster_ids
+        # Scatter legs and failover reads recorded spans under the same trace.
+        spans = {
+            span["name"] for entry in cluster_entries for span in entry.get("spans", [])
+        }
+        assert {"fanout:shard-0", "fanout:shard-1"} <= spans
+        assert any(name.startswith("shard:") for name in spans)
         assert registry.get("repro_cluster_fanout_seconds") is not None
 
 
@@ -272,24 +304,23 @@ class TestClientRetryTelemetry:
     def test_connect_retries_counted_in_stats_and_registry(self):
         registry = MetricsRegistry()
         # A fresh ephemeral port that nothing listens on: bind, note, close.
-        import socket
-
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         _, dead_port = probe.getsockname()
         probe.close()
 
-        client = StatisticsClient(
+        client = BinaryShardClient(
             "127.0.0.1", dead_port, retries=2, retry_backoff=0.001
         )
         client.bind_metrics(registry)
         with pytest.raises(OSError):
-            client.health()
+            client.call("health")
         assert client.transport_stats["connect_retries"] == 3  # initial + 2 retries
         assert client.transport_stats["backoff_seconds"] > 0.0
         endpoint = f"127.0.0.1:{dead_port}"
         counter = registry.get("repro_client_connect_retries_total")
         assert counter.value(endpoint=endpoint) == 3
+        client.close()
 
 
 # ----------------------------------------------------------------------

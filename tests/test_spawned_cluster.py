@@ -42,7 +42,6 @@ def fleet(tmp_path):
     try:
         yield supervisor, coordinator
     finally:
-        coordinator.close()
         supervisor.close()
 
 
@@ -136,7 +135,6 @@ class TestKillNineFailover:
             got = {k: v for k, v in healed_snapshot.items() if k != "generation"}
             assert got == ref
         finally:
-            coordinator.close()
             supervisor.close()
 
     def test_writes_surface_unavailable_when_all_replicas_down(self, tmp_path):
@@ -158,7 +156,6 @@ class TestKillNineFailover:
             with pytest.raises(ShardUnavailableError):
                 coordinator.ingest("age", insert=[1.0])
         finally:
-            coordinator.close()
             supervisor.close()
 
 

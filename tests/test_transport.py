@@ -3,7 +3,7 @@
 Covers the frame codec (WAL-style ``magic | length | crc32 | JSON``
 framing), the error-reconstruction whitelist, the pooled client's REP011
 retry discipline (connect-phase always retriable, post-wire only for
-idempotent ops), and the recording-proxy scatter fast path.
+idempotent ops), and the pipelined ``(op, args)`` scatter.
 """
 
 import socket
@@ -154,6 +154,17 @@ class TestRoundTrip:
             k: v for k, v in snapshot.items() if k != "generation"
         }
 
+    def test_ingest_many_applies_a_stream_in_one_frame(self, shard):
+        shard.create("a", "dc", memory_kb=0.5)
+        shard.create("b", "dc", memory_kb=0.5)
+        counts = shard.ingest_many(
+            {"a": {"insert": [1.0, 2.0]}, "b": {"insert": [3.0], "delete": [3.0]}}
+        )
+        assert counts == {"inserted": 3, "deleted": 1}
+        with pytest.raises(UnknownAttributeError):
+            shard.ingest_many({"b": {"insert": [4.0]}, "ghost": {"insert": [5.0]}})
+        assert shard.stats("b")["total_count"] == pytest.approx(1.0)
+
     def test_application_error_crosses_the_wire(self, shard):
         with pytest.raises(UnknownAttributeError) as excinfo:
             shard.stats("missing")
@@ -258,30 +269,37 @@ class TestPipelinedScatter:
         for store in stores:
             store.close()
 
+    @staticmethod
+    def legs(fleet, op, **args):
+        return {shard_id: (op, dict(args)) for shard_id in fleet}
+
     def test_simple_call_is_pipelined(self, fleet):
-        outcome = try_pipelined_scatter(fleet, lambda shard: shard.create("age", "dc"))
+        outcome = try_pipelined_scatter(fleet, self.legs(fleet, "create", name="age", kind="dc"))
         assert outcome is not None
         assert set(outcome) == {"shard-0", "shard-1"}
         assert all(ok for ok, _, _ in outcome.values())
-        names = try_pipelined_scatter(fleet, lambda shard: shard.names())
+        names = try_pipelined_scatter(fleet, self.legs(fleet, "names"))
         assert names is not None
         assert [value for _, value, _ in names.values()] == [["age"], ["age"]]
 
     def test_per_shard_payloads_are_recorded(self, fleet):
-        try_pipelined_scatter(fleet, lambda shard: shard.create("age", "dc"))
+        try_pipelined_scatter(fleet, self.legs(fleet, "create", name="age", kind="dc"))
         payloads = {"shard-0": [1.0, 2.0], "shard-1": [3.0]}
         outcome = try_pipelined_scatter(
             fleet,
-            lambda shard: shard.ingest("age", insert=payloads[shard.shard_id]),
+            {
+                shard_id: ("ingest", {"name": "age", "insert": values})
+                for shard_id, values in payloads.items()
+            },
         )
         assert outcome is not None
-        counts = try_pipelined_scatter(fleet, lambda shard: shard.stats("age"))
+        counts = try_pipelined_scatter(fleet, self.legs(fleet, "stats", name="age"))
         assert counts is not None
         totals = {sid: value["total_count"] for sid, (_, value, _) in counts.items()}
         assert totals == {"shard-0": pytest.approx(2.0), "shard-1": pytest.approx(1.0)}
 
     def test_application_error_is_an_outcome_not_a_raise(self, fleet):
-        outcome = try_pipelined_scatter(fleet, lambda shard: shard.stats("missing"))
+        outcome = try_pipelined_scatter(fleet, self.legs(fleet, "stats", name="missing"))
         assert outcome is not None
         for ok, value, _ in outcome.values():
             assert not ok
@@ -290,28 +308,10 @@ class TestPipelinedScatter:
     def test_non_process_shard_falls_back(self, fleet):
         mixed = dict(fleet)
         mixed["local"] = LocalShard("local")
-        assert try_pipelined_scatter(mixed, lambda shard: shard.names()) is None
-
-    def test_multi_call_closure_falls_back(self, fleet):
-        def two_calls(shard):
-            shard.names()
-            return shard.health()
-
-        assert try_pipelined_scatter(fleet, two_calls) is None
-
-    def test_result_using_closure_falls_back(self, fleet):
-        assert try_pipelined_scatter(fleet, lambda shard: len(shard.names())) is None
-
-    def test_failing_closure_falls_back(self, fleet):
-        lookup = {}
-
-        def broken(shard):
-            return shard.ingest("age", insert=lookup[shard.shard_id])  # KeyError
-
-        assert try_pipelined_scatter(fleet, broken) is None
+        assert try_pipelined_scatter(mixed, self.legs(mixed, "names")) is None
 
     def test_dead_shard_is_an_unavailable_outcome(self, fleet):
-        try_pipelined_scatter(fleet, lambda shard: shard.create("age", "dc"))
+        try_pipelined_scatter(fleet, self.legs(fleet, "create", name="age", kind="dc"))
         # Kill shard-1's server; its pooled connection and reconnects fail.
         client = fleet["shard-1"].client
         client.close()
@@ -319,7 +319,7 @@ class TestPipelinedScatter:
             client.host, 1, timeout=0.5, retries=0, retry_backoff=0.01
         )
         fleet["shard-1"] = ProcessShard("shard-1", dead)
-        outcome = try_pipelined_scatter(fleet, lambda shard: shard.names())
+        outcome = try_pipelined_scatter(fleet, self.legs(fleet, "names"))
         assert outcome is not None
         ok0, value0, _ = outcome["shard-0"]
         ok1, value1, _ = outcome["shard-1"]
