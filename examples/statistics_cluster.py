@@ -26,7 +26,8 @@ Run with::
 
     python examples/statistics_cluster.py
 
-The same cluster can be started standalone with
+The same layout, with each shard in its own worker process, can be started
+standalone with
 ``repro-experiments serve-cluster --shards 4 -a age:dc:1.0 -p hot:1250,2500,3750``
 and inspected with ``repro-experiments cluster-stats``.
 """

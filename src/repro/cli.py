@@ -13,8 +13,8 @@ The CLI mirrors what the benchmark harness does, but as a user-facing tool:
 * ``repro-experiments store-stats`` -- pretty-print the attribute stats of a
   running statistics server;
 * ``repro-experiments serve-cluster`` -- run a sharded statistics cluster
-  (:mod:`repro.cluster`): N in-process shards behind one scatter-gather HTTP
-  front-end, with optional value-range partitioning of hot attributes,
+  (:mod:`repro.cluster`): N shard worker processes behind one scatter-gather
+  HTTP front-end, with optional value-range partitioning of hot attributes,
   N-way replication (``--replication-factor``, with ``--replica-reads`` to
   rotate estimate reads over fresh replicas) and per-shard write-ahead
   logs (``--wal-dir``);
@@ -181,15 +181,11 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument("--host", default="127.0.0.1")
     cluster_parser.add_argument("--port", type=int, default=8282,
                                 help="TCP port to bind (0 picks an ephemeral port)")
-    cluster_parser.add_argument("--shards", type=int, default=2,
-                                help="number of in-process backing shards (default 2)")
     cluster_parser.add_argument(
-        "--spawn-shards", type=int, default=None, metavar="N",
-        help="run N shard worker PROCESSES (each with its own store, its own "
-             "WAL directory under --wal-dir, and its own binary-transport "
-             "port) instead of in-process shards; CPU-bound ingest then "
-             "scales with cores. Overrides --shards; workers that crash are "
-             "respawned on the same port",
+        "--shards", "--spawn-shards", type=int, default=2, metavar="N",
+        help="run N shard worker processes (own store, WAL directory under "
+             "--wal-dir and transport port each; a crashed worker is respawned "
+             "on the same port); --spawn-shards is an alias (default 2)",
     )
     cluster_parser.add_argument(
         "--attribute", "-a", action="append", default=[],
@@ -357,23 +353,6 @@ def _parse_attribute_spec(spec: str):
     return name, kind, memory_kb
 
 
-def _build_durable_store(wal_dir, fsync: bool, metrics=None, accuracy_sampler=None):
-    """Open (recovering) or create a durable store at ``wal_dir``."""
-    from .service import DurabilityConfig, HistogramStore
-
-    config = DurabilityConfig(Path(wal_dir), fsync=fsync)
-    if config.has_state():
-        store = HistogramStore.recover(wal_dir, fsync=fsync, metrics=metrics)
-        store.attach_accuracy_sampler(accuracy_sampler)
-        return store, True
-    return (
-        HistogramStore(
-            durability=config, metrics=metrics, accuracy_sampler=accuracy_sampler
-        ),
-        False,
-    )
-
-
 def _command_serve(args, out) -> int:
     from .obs import AccuracySampler, MetricsRegistry
     from .service import HistogramStore, IngestPipeline, StatisticsServer
@@ -386,13 +365,9 @@ def _command_serve(args, out) -> int:
         except ValueError as error:
             out.write(f"{error}\n")
             return 2
-    recovered = False
-    if args.wal_dir is not None:
-        store, recovered = _build_durable_store(
-            args.wal_dir, args.wal_fsync, metrics=metrics, accuracy_sampler=sampler
-        )
-    else:
-        store = HistogramStore(metrics=metrics, accuracy_sampler=sampler)
+    store, recovered = HistogramStore.open(
+        args.wal_dir, fsync=args.wal_fsync, metrics=metrics, accuracy_sampler=sampler
+    )
     try:
         specs = [_parse_attribute_spec(spec) for spec in args.attribute]
     except ValueError as error:
@@ -504,24 +479,14 @@ def _parse_partition_spec(spec: str):
 
 
 def _command_serve_cluster(args, out) -> int:
-    from .cluster import (
-        ClusterCoordinator,
-        ClusterServer,
-        LocalShard,
-        ShardRouter,
-        ShardSupervisor,
-    )
+    from .cluster import ClusterCoordinator, ClusterServer, ShardRouter, ShardSupervisor
     from .obs import MetricsRegistry
+    from .service import DurabilityConfig
 
-    spawn = args.spawn_shards is not None
-    if spawn and args.spawn_shards < 1:
-        out.write("--spawn-shards must be at least 1\n")
+    if args.shards < 1:
+        out.write("--shards/--spawn-shards must be at least 1\n")
         return 2
-    if not spawn and args.shards < 1:
-        out.write("--shards must be at least 1\n")
-        return 2
-    n_shards = args.spawn_shards if spawn else args.shards
-    if not 1 <= args.replication_factor <= n_shards:
+    if not 1 <= args.replication_factor <= args.shards:
         out.write("--replication-factor must be between 1 and the shard count\n")
         return 2
     try:
@@ -531,49 +496,22 @@ def _command_serve_cluster(args, out) -> int:
         out.write(f"{error}\n")
         return 2
 
-    # One registry for the whole process: shard stores/WALs, the
-    # coordinator's fan-out metrics and the HTTP layer all land in one
-    # /metrics exposition (per-attribute labels aggregate across shards).
-    # Spawned workers keep their stores in their own processes, so only the
-    # coordinator/HTTP side of the registry is populated in that mode.
-    metrics = MetricsRegistry()
-    stores = []
-    supervisor = None
-    recovered_any = False
-    if spawn:
-        if args.wal_dir is not None:
-            recovered_any = any(
-                (Path(args.wal_dir) / f"shard-{index}").exists()
-                for index in range(n_shards)
-            )
-        supervisor = ShardSupervisor(
-            n_shards,
-            wal_root=args.wal_dir,
-            wal_fsync=args.wal_fsync,
-        )
-        shards = supervisor.start()
-    else:
-        for index in range(n_shards):
-            if args.wal_dir is not None:
-                store, recovered = _build_durable_store(
-                    Path(args.wal_dir) / f"shard-{index}",
-                    fsync=args.wal_fsync,
-                    metrics=metrics,
-                )
-                recovered_any = recovered_any or recovered
-            else:
-                from .service import HistogramStore
-
-                store = HistogramStore(metrics=metrics)
-            stores.append(store)
-        shards = [
-            LocalShard(f"shard-{index}", store) for index, store in enumerate(stores)
-        ]
-    router = ShardRouter(
-        [shard.shard_id for shard in shards],
-        replication_factor=args.replication_factor,
+    recovered = args.wal_dir is not None and any(
+        DurabilityConfig(Path(args.wal_dir) / f"shard-{index}").has_state()
+        for index in range(args.shards)
     )
+    # The coordinator's and HTTP series; /metrics merges in each worker's
+    # store, WAL and process series under a shard label.
+    metrics = MetricsRegistry()
+    supervisor = ShardSupervisor(
+        args.shards, wal_root=args.wal_dir, wal_fsync=args.wal_fsync, profile=args.profile
+    )
+    shards = supervisor.start()
     try:
+        router = ShardRouter(
+            [shard.shard_id for shard in shards],
+            replication_factor=args.replication_factor,
+        )
         coordinator = ClusterCoordinator(
             shards,
             router=router,
@@ -603,25 +541,15 @@ def _command_serve_cluster(args, out) -> int:
             profile=args.profile,
         )
     except BaseException:
-        if supervisor is not None:
-            supervisor.close()
-        for store in stores:
-            store.close()
+        supervisor.close()
         raise
     host, port = server.address
     out.write(f"statistics cluster listening on http://{host}:{port}\n")
-    if supervisor is not None:
-        fleet = supervisor.describe()
-        out.write(
-            "shards: "
-            + ", ".join(
-                f"{shard_id} (pid {info['pid']}, port {info['port']})"
-                for shard_id, info in fleet.items()
-            )
-            + "\n"
-        )
-    else:
-        out.write(f"shards: {', '.join(coordinator.shard_ids)}\n")
+    fleet = ", ".join(
+        f"{shard_id} (pid {info['pid']}, port {info['port']})"
+        for shard_id, info in supervisor.describe().items()
+    )
+    out.write(f"shards: {fleet}\n")
     attributes = ", ".join(
         f"{name} (partitioned)" if name in partitions else name
         for name in sorted(attribute_specs)
@@ -632,9 +560,8 @@ def _command_serve_cluster(args, out) -> int:
     if args.replica_reads:
         out.write("replica reads: rotating over fresh replicas\n")
     if args.wal_dir is not None:
-        state = "recovered existing catalogs" if recovered_any else "fresh logs"
-        owner = " (worker-owned)" if supervisor is not None else ""
-        out.write(f"durability: per-shard WALs under {args.wal_dir} ({state}){owner}\n")
+        state = "recovered existing catalogs" if recovered else "fresh logs"
+        out.write(f"durability: per-shard WALs under {args.wal_dir} ({state}) (worker-owned)\n")
     if args.trace or args.slow_request_ms is not None:
         detail = "tracing: X-Repro-Trace-Id enabled"
         if args.slow_request_ms is not None:
@@ -643,10 +570,7 @@ def _command_serve_cluster(args, out) -> int:
 
     def teardown() -> None:
         server.stop()
-        if supervisor is not None:
-            supervisor.close()
-        for store in stores:
-            store.close()
+        supervisor.close()
 
     return _serve(server, args.duration, teardown, out)
 

@@ -10,9 +10,8 @@ home shard; writes for a range-partitioned attribute are split per value
 (one ``searchsorted`` pass) and fanned out to the piece shards.  Every
 fan-out names its legs as ``{shard_id: (op, args)}``, the shape the wire
 carries: legs to spawned worker processes are pipelined (every request frame
-is written before any reply is read), legs to in-process shards run one
-after another on the calling thread, except writes to stores that fsync
-their WAL, which overlap.  :meth:`ingest_batch` groups a whole
+is written before any reply is read), and legs to in-process shards run one
+after another on the calling thread.  :meth:`ingest_batch` groups a whole
 multi-attribute batch by shard first, so each shard receives exactly one
 ``ingest_many`` stream, in rounds of at most :data:`INGEST_LEG_VALUES`
 values.  Per-shard application is independent: a failing piece never rolls
@@ -78,7 +77,7 @@ from ..exceptions import (
     ShardUnavailableError,
     UnknownAttributeError,
 )
-from ..obs.trace import current_trace, maybe_span, use_trace
+from ..obs.trace import current_trace, maybe_span
 from ..persistence import histogram_from_dict
 from ..service.store import evaluate_queries
 from .protocol import ShardBackend
@@ -238,12 +237,9 @@ class ClusterCoordinator:
         When every target is a :class:`~repro.cluster.transport.ProcessShard`
         the scatter is **pipelined**: the calling thread writes every request
         frame on a persistent connection and then multiplexes the replies.
-        In-process legs are CPU-bound under the GIL and run one after another
-        on the calling thread, except those that wait on the disk with the
-        GIL released (:meth:`ShardBackend.waits_on_disk`): they overlap, each
-        extra one on a short-lived thread carrying the request's trace.
-        Every leg records ``repro_cluster_fanout_seconds`` and a
-        ``fanout:<shard>`` span.
+        In-process legs run one after another on the calling thread.  Every
+        leg records ``repro_cluster_fanout_seconds`` and a ``fanout:<shard>``
+        span.
         """
         shards = {shard_id: self.shard(shard_id) for shard_id in legs}
         started = time.perf_counter()
@@ -252,32 +248,15 @@ class ClusterCoordinator:
         if outcomes is not None:
             starts = dict.fromkeys(outcomes, started)
         else:
-            starts = {}
-            finished: dict[str, tuple[bool, Any, float]] = {}
-
-            def run(shard_id: str) -> None:
+            starts, outcomes = {}, {}
+            for shard_id, shard in shards.items():
                 op, args = legs[shard_id]
                 starts[shard_id] = time.perf_counter()
                 try:
-                    with use_trace(trace):
-                        ok, value = True, getattr(shards[shard_id], op)(**args)
+                    ok, value = True, getattr(shard, op)(**args)
                 except Exception as error:
                     ok, value = False, error
-                finished[shard_id] = (ok, value, time.perf_counter() - starts[shard_id])
-
-            waiting = [sid for sid, shard in shards.items() if shard.waits_on_disk(legs[sid][0])]
-            threads = {
-                sid: threading.Thread(target=run, args=(sid,), name=f"repro-fanout-{sid}")
-                for sid in waiting[1:]
-            }
-            for thread in threads.values():
-                thread.start()
-            for shard_id in shards:
-                if shard_id not in threads:
-                    run(shard_id)
-            for thread in threads.values():
-                thread.join()
-            outcomes = {shard_id: finished[shard_id] for shard_id in shards}
+                outcomes[shard_id] = (ok, value, time.perf_counter() - starts[shard_id])
         results: dict[str, Any] = {}
         errors: dict[str, Exception] = {}
         unexpected: Exception | None = None
@@ -295,6 +274,11 @@ class ClusterCoordinator:
         if unexpected is not None:
             raise unexpected
         return results, errors
+
+    def shard_reports(self, op: str) -> dict[str, Any]:
+        """Each reachable shard's own ``metrics`` or ``profile`` report, empty ones left out."""
+        results, _ = self._scatter_tolerant({shard_id: (op, {}) for shard_id in self._shards})
+        return {shard_id: report for shard_id, report in results.items() if report}
 
     # ------------------------------------------------------------------
     # replication plumbing

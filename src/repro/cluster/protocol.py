@@ -8,9 +8,9 @@ the deployment spectrum:
 
 * :class:`LocalShard` wraps an in-process
   :class:`~repro.service.store.HistogramStore` -- zero serialisation, used by
-  tests, ``serve-cluster --shards N`` and single-host deployments;
+  tests, library callers and inside each worker process;
 * :class:`~repro.cluster.transport.ProcessShard` reaches a spawned worker
-  process (``serve-cluster --spawn-shards N``) over the persistent binary
+  process (``serve-cluster --shards N``) over the persistent binary
   transport -- a shared-nothing site, as in Section 8 of the paper.
 
 Because both speak the same protocol, a cluster can mix them freely.
@@ -42,11 +42,6 @@ class ShardBackend(abc.ABC):
         if not shard_id or not isinstance(shard_id, str):
             raise ConfigurationError("shard_id must be a non-empty string")
         self.shard_id = shard_id
-
-    def waits_on_disk(self, op: str) -> bool:
-        """True when ``op`` here blocks on disk I/O with the GIL released
-        (the coordinator overlaps such in-process legs on threads)."""
-        return False
 
     # -- registry -------------------------------------------------------
     @abc.abstractmethod
@@ -126,6 +121,15 @@ class ShardBackend(abc.ABC):
         """The attribute's generation counter (merge-cache key ingredient)."""
         return int(self.stats(name)["generation"])
 
+    # -- the shard's own process ------------------------------------------
+    def metrics(self) -> str:
+        """A shard's own exposition; empty when it reports into its caller's registry."""
+        return ""
+
+    def profile(self) -> dict[str, Any] | None:
+        """The sampling-profiler attribution of a shard that runs its own."""
+        return None
+
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}({self.shard_id!r})"
 
@@ -136,11 +140,6 @@ class LocalShard(ShardBackend):
     def __init__(self, shard_id: str, store: HistogramStore | None = None) -> None:
         super().__init__(shard_id)
         self.store = store if store is not None else HistogramStore()
-
-    def waits_on_disk(self, op: str) -> bool:
-        # A write waits for its WAL append's fsync, which releases the GIL.
-        durability = self.store.durability
-        return op in WRITE_OPS and durability is not None and durability.fsync
 
     def create(
         self,

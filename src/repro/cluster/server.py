@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from typing import Any
 
-from ..obs.registry import MetricsRegistry
+from ..obs.registry import MetricsRegistry, federate
 from ..service.client import StatisticsClient
 from ..service.server import EdgeHandler, EdgeServer, Reply
 from .coordinator import ClusterCoordinator
@@ -139,6 +139,16 @@ class ClusterServer(EdgeServer):
             trace_sink=trace_sink,
             profile=profile,
         )
+
+    def render_metrics(self) -> str:
+        """This process's exposition merged with every reachable worker's,
+        whose series carry a ``shard`` label."""
+        workers = self.coordinator.shard_reports("metrics")
+        return federate(super().render_metrics(), workers)
+
+    def profile_report(self) -> dict[str, Any]:
+        """This process's attribution, plus each profiling worker's under ``shards``."""
+        return {**super().profile_report(), "shards": self.coordinator.shard_reports("profile")}
 
 
 class ClusterClient(StatisticsClient):

@@ -1,9 +1,9 @@
 """Shard supervisor: spawn, watch and tear down shard worker processes.
 
-``serve-cluster --spawn-shards N`` (and the benchmarks) use this to turn the
-in-process shard set into N real OS processes -- each with its own
-:class:`~repro.service.store.HistogramStore`, its own WAL directory and its
-own binary-transport port -- so CPU-bound ingest scales with cores instead of
+``serve-cluster --shards N`` (and the benchmarks) run every shard through
+this as its own OS process -- each with its own
+:class:`~repro.service.store.HistogramStore`, metrics registry, WAL directory
+and binary-transport port -- so CPU-bound ingest scales with cores instead of
 serialising on one interpreter's GIL.
 
 Lifecycle
@@ -78,6 +78,8 @@ class ShardSupervisor:
         (reads fail over, ``resync`` heals it once it is brought back).
     startup_timeout:
         Seconds to wait for one worker's readiness line.
+    profile:
+        Run each worker's sampling profiler; its ``profile`` op reports it.
     """
 
     def __init__(
@@ -95,6 +97,7 @@ class ShardSupervisor:
         client_timeout: float = 10.0,
         client_retries: int = 2,
         client_retry_backoff: float = 0.05,
+        profile: bool = False,
     ) -> None:
         if n_shards < 1:
             raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
@@ -110,6 +113,7 @@ class ShardSupervisor:
         self._client_timeout = float(client_timeout)
         self._client_retries = int(client_retries)
         self._client_retry_backoff = float(client_retry_backoff)
+        self._profile = bool(profile)
         self._handles: dict[str, _ShardHandle] = {}
         self._clients: dict[str, BinaryShardClient] = {}
         self._lock = threading.Lock()
@@ -136,6 +140,8 @@ class ShardSupervisor:
             command += ["--wal-dir", str(wal_dir)]
             if self._wal_fsync:
                 command.append("--wal-fsync")
+        if self._profile:
+            command.append("--profile")
         return command
 
     def _worker_env(self) -> dict[str, str]:
@@ -159,7 +165,7 @@ class ShardSupervisor:
         )
         try:
             bound_port = self._await_ready(shard_id, process)
-        except Exception:
+        except BaseException:  # an interrupt mid-startup must not leak the worker
             process.kill()
             process.wait()
             raise
@@ -216,12 +222,12 @@ class ShardSupervisor:
                     retries=self._client_retries,
                     retry_backoff=self._client_retry_backoff,
                 )
-                client.call("ping")  # liveness fence before the fleet is handed out
                 with self._lock:
                     self._handles[shard_id] = handle
                     self._clients[shard_id] = client
+                client.call("ping")  # liveness fence before the fleet is handed out
                 shards.append(ProcessShard(shard_id, client))
-        except Exception:
+        except BaseException:  # Ctrl-C while the fleet starts stops what already runs
             self.close()
             raise
         self._monitor = threading.Thread(

@@ -104,7 +104,8 @@ MAX_PAYLOAD_BYTES = 1 << 28
 #: failure: pure reads.  Everything else (create/drop/ingest/restore) may
 #: have been applied by a shard that lost only its reply -- REP011.
 IDEMPOTENT_OPS = frozenset(
-    {"names", "query", "stats", "stats_all", "snapshot", "health", "generation", "ping"}
+    {"names", "query", "stats", "stats_all", "snapshot", "health", "generation", "ping",
+     "metrics", "profile"}
 )
 
 #: The :class:`~repro.cluster.protocol.ShardBackend` methods a worker serves:
@@ -543,6 +544,12 @@ class ProcessShard(ShardBackend):
 
     def generation(self, name: str) -> int:
         return int(self._call("generation", {"name": name}))
+
+    def metrics(self) -> str:
+        return str(self._call("metrics", {}))
+
+    def profile(self) -> dict[str, Any] | None:
+        return self._call("profile", {})
 
 
 # ----------------------------------------------------------------------

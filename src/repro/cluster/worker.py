@@ -2,7 +2,8 @@
 
 ``python -m repro.cluster.worker --shard-id shard-0 --port 0 [--wal-dir D]``
 builds a :class:`~repro.service.store.HistogramStore` (recovering an existing
-WAL when ``--wal-dir`` points at one), serves it through
+WAL when ``--wal-dir`` points at one) that records into the worker's own
+metrics registry, serves it through
 :class:`~repro.cluster.transport.BinaryShardServer`, prints a single
 machine-readable readiness line::
 
@@ -11,7 +12,8 @@ machine-readable readiness line::
 on stdout, and then runs until SIGTERM/SIGINT (clean shutdown: transport
 closed, store -- and therefore WAL -- closed) or until its parent kills it.
 The :class:`~repro.cluster.supervisor.ShardSupervisor` parses the readiness
-line to learn the ephemeral port and to fence startup races.
+line to learn the ephemeral port and to fence startup races.  The ``metrics``
+op answers the worker's exposition, and ``profile`` its ``--profile`` sampler.
 """
 
 from __future__ import annotations
@@ -21,19 +23,26 @@ import os
 import signal
 import sys
 import threading
-from pathlib import Path
+from typing import Any
+
+from ..obs import MetricsRegistry, ProcessTelemetry, SamplingProfiler
+from .protocol import LocalShard
 
 
+class _WorkerShard(LocalShard):
+    """The worker's backend: a local shard that also reports on its own process."""
 
-def _build_store(wal_dir: str | None, fsync: bool):
-    from ..service import DurabilityConfig, HistogramStore
+    def __init__(self, shard_id: str, store, registry: MetricsRegistry, profiler) -> None:
+        super().__init__(shard_id, store)
+        self.registry, self.profiler = registry, profiler
+        self.telemetry = ProcessTelemetry(registry)
 
-    if wal_dir is None:
-        return HistogramStore()
-    config = DurabilityConfig(Path(wal_dir), fsync=fsync)
-    if config.has_state():
-        return HistogramStore.recover(wal_dir, fsync=fsync)
-    return HistogramStore(durability=config)
+    def metrics(self) -> str:
+        self.telemetry.update()
+        return self.registry.render()
+
+    def profile(self) -> dict[str, Any] | None:
+        return None if self.profiler is None else self.profiler.attribution()
 
 
 def main(argv=None) -> int:
@@ -47,14 +56,20 @@ def main(argv=None) -> int:
         "--wal-dir", default=None, help="write-ahead-log directory (recovered if present)"
     )
     parser.add_argument("--wal-fsync", action="store_true")
+    parser.add_argument(
+        "--profile", action="store_true", help="run the sampling profiler for the profile op"
+    )
     args = parser.parse_args(argv)
 
-    from .protocol import LocalShard
+    from ..service import HistogramStore
     from .transport import READY_PREFIX, BinaryShardServer
 
-    store = _build_store(args.wal_dir, args.wal_fsync)
-    backend = LocalShard(args.shard_id, store)
-    server = BinaryShardServer(backend, host=args.host, port=args.port)
+    registry = MetricsRegistry()
+    store, _ = HistogramStore.open(args.wal_dir, fsync=args.wal_fsync, metrics=registry)
+    profiler = SamplingProfiler().start() if args.profile else None
+    server = BinaryShardServer(
+        _WorkerShard(args.shard_id, store, registry, profiler), host=args.host, port=args.port
+    )
     server.start()
     host, port = server.address
     print(f"{READY_PREFIX} shard={args.shard_id} port={port} pid={os.getpid()}", flush=True)
@@ -70,6 +85,8 @@ def main(argv=None) -> int:
         stop.wait()
     finally:
         server.stop()
+        if profiler is not None:
+            profiler.stop()
         store.close()
     return 0
 

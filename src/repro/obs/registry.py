@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "LATENCY_BUCKETS_S",
     "SIZE_BUCKETS",
     "ERROR_BUCKETS",
+    "federate",
 ]
 
 #: Default latency buckets (seconds): 50us .. 2.5s, roughly log-spaced.
@@ -410,3 +411,28 @@ class MetricsRegistry:
         for metric in metrics:
             lines.extend(metric.render())
         return "\n".join(lines) + "\n" if lines else ""
+
+
+def federate(own: str, shards: Mapping[str, str]) -> str:
+    """Merge ``own`` with each shard's exposition, whose series gain ``shard="<key>"``.
+
+    A family several expositions carry keeps one HELP and one TYPE line;
+    families come out in name order, as :meth:`MetricsRegistry.render` emits them.
+    """
+    families: dict[str, list[str]] = {}
+    headers: set[tuple[str, str]] = set()
+    for shard, text in [("", own), *shards.items()]:
+        tag = f'shard="{_escape_label_value(shard)}"'
+        lines: list[str] = []
+        for line in text.splitlines():
+            if line.startswith("# "):
+                _, keyword, name = line.split(" ", 3)[:3]
+                lines = families.setdefault(name, [])
+                if (keyword, name) in headers:
+                    continue
+                headers.add((keyword, name))
+            elif shard:
+                series, brace, rest = line.partition("{")
+                line = f"{series}{{{tag},{rest}" if brace else line.replace(" ", f"{{{tag}}} ", 1)
+            lines.append(line)
+    return "".join(line + "\n" for name in sorted(families) for line in families[name])

@@ -50,6 +50,7 @@ are applied synchronously before the response is sent.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -88,9 +89,17 @@ class EdgeHandler(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
+    # Buffered, so a response's headers and body leave in one write.
+    wbufsize = -1
 
     # Set by EdgeServer when binding the handler class.
     edge: EdgeServer
+
+    def setup(self) -> None:
+        super().setup()
+        # A response longer than the buffer takes several writes; Nagle would
+        # hold the last one for the client's delayed ACK on a reused connection.
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if not self.edge.quiet:  # pragma: no cover - debugging aid
@@ -115,16 +124,19 @@ class EdgeHandler(BaseHTTPRequestHandler):
             # Echo the request's trace id so callers can correlate responses
             # with the slow-request log.
             self.send_header(TRACE_HEADER, trace_id)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _read_json(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length < 0:
-            # rfile.read(-1) would block until the client closes the socket;
-            # the body's framing is unknown, so the connection cannot be reused.
+        length_text = self.headers.get("Content-Length") or "0"
+        if not length_text.isdecimal():
+            # Where the body ends is unknown, so the connection cannot be reused.
             self.close_connection = True
-            raise ValueError("Content-Length must not be negative")
+            raise ValueError("Content-Length must be a non-negative integer")
+        length = int(length_text)
         if length == 0:
             return {}
         payload = json.loads(self.rfile.read(length).decode("utf-8"))
@@ -207,18 +219,14 @@ class EdgeHandler(BaseHTTPRequestHandler):
             reply = self._estimate(method, route[1], payload)
         elif route == ("metrics",) and method == "GET":
             if edge.metrics is not None:
-                if edge.telemetry is not None:
-                    # Refresh the process vitals gauges (RSS/GC/threads/
-                    # uptime) so every scrape carries current values.
-                    edge.telemetry.update()
-                self._send_text(200, edge.metrics.render(), METRICS_CONTENT_TYPE)
+                self._send_text(200, edge.render_metrics(), METRICS_CONTENT_TYPE)
                 return
             reply = 404, {"error": "metrics are not enabled on this server"}
         elif route == ("profile",) and method == "GET":
             if edge.profiler is None:
                 reply = 404, {"error": "profiling is not enabled on this server"}
             else:
-                reply = 200, edge.profiler.attribution()
+                reply = 200, edge.profile_report()
         else:
             reply = self._backend_route(method, route, payload)
         if reply is None:
@@ -335,6 +343,17 @@ class EdgeServer:
         """The bound ``(host, port)`` pair."""
         host, port = self._httpd.server_address[:2]
         return str(host), int(port)
+
+    def render_metrics(self) -> str:
+        """The ``/metrics`` exposition, with the process vitals refreshed first."""
+        assert self.metrics is not None and self.telemetry is not None
+        self.telemetry.update()
+        return self.metrics.render()
+
+    def profile_report(self) -> dict[str, Any]:
+        """The ``/profile`` body: the sampling profiler's attribution so far."""
+        assert self.profiler is not None
+        return self.profiler.attribution()
 
     def _on_start(self) -> None:
         """Start the kind's own machinery before the first request is served."""

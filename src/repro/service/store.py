@@ -322,23 +322,9 @@ class HistogramStore:
         """The estimation-accuracy sampler fed by this store (``None`` when off)."""
         return self._sampler
 
-    def attach_accuracy_sampler(self, sampler: Any | None) -> None:
-        """Attach (or detach with ``None``) the estimation-accuracy sampler.
-
-        Used after :meth:`recover`, which rebuilds the store without one;
-        already-recovered attributes start shadowing from their next
-        ``create``-free lifecycle event, i.e. never -- callers that want
-        them sampled must ``reset`` the sampler per attribute explicitly.
-        """
-        self._sampler = sampler
-
     # ------------------------------------------------------------------
     # durability (write-ahead log)
     # ------------------------------------------------------------------
-    @property
-    def durability(self) -> DurabilityConfig | None:
-        return self._durability
-
     def close(self) -> None:
         """Flush and close the write-ahead log (no-op without durability)."""
         if self._wal is not None:
@@ -497,6 +483,27 @@ class HistogramStore:
             metrics=metrics,
         )
         return store
+
+    @classmethod
+    def open(
+        cls,
+        wal_dir: str | Path | None,
+        *,
+        fsync: bool = False,
+        metrics: Any | None = None,
+        accuracy_sampler: Any | None = None,
+    ) -> tuple[HistogramStore, bool]:
+        """Recover the store at ``wal_dir`` when it holds state, else create one.
+
+        Returns ``(store, recovered)``; without a ``wal_dir`` the store is not
+        durable.  ``accuracy_sampler`` never shadows recovered attributes.
+        """
+        config = None if wal_dir is None else DurabilityConfig(Path(wal_dir), fsync=fsync)
+        if config is None or not config.has_state():
+            return cls(durability=config, metrics=metrics, accuracy_sampler=accuracy_sampler), False
+        store = cls.recover(config.wal_dir, fsync=fsync, metrics=metrics)
+        store._sampler = accuracy_sampler
+        return store, True
 
     def _apply_wal_record(self, record: Mapping[str, Any]) -> None:
         """Re-apply one logged mutation through the ordinary code paths."""

@@ -192,9 +192,9 @@ class TestTerminateSignal:
     """``kill -TERM`` on a real server process tears down like Ctrl-C."""
 
     @staticmethod
-    def _terminate(args, ingest):
+    def _terminate(args, ingest, signum=signal.SIGTERM):
         """Launch ``python -m repro.cli``, ingest through ``ingest(port)``, then
-        SIGTERM it; returns the exit code and the worker PIDs still alive."""
+        send ``signum``; returns the exit code and the worker PIDs still alive."""
         src = str(Path(repro.__file__).resolve().parents[1])
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         process = subprocess.Popen(
@@ -211,8 +211,9 @@ class TestTerminateSignal:
                 if line.startswith("attributes:"):
                     break
             workers = [int(pid) for pid in re.findall(r"\(pid (\d+),", banner)]
+            assert workers or args[0] == "serve", banner
             ingest(int(re.search(r"http://127\.0\.0\.1:(\d+)", banner).group(1)))
-            process.send_signal(signal.SIGTERM)
+            process.send_signal(signum)
             code = process.wait(timeout=60)
             return code, [pid for pid in workers if _alive(pid)]
         finally:
@@ -274,6 +275,18 @@ class TestTerminateSignal:
                 store.close()
         assert recovered == {"age": pytest.approx(60.0), "price": pytest.approx(40.0)}
 
+    def test_serve_cluster_shards_stops_its_workers_on_sigint(self):
+        from repro.cluster import ClusterClient
+
+        def ingest(port):
+            assert ClusterClient("127.0.0.1", port).ingest("age", insert=[1.0])["inserted"] == 1
+
+        code, survivors = self._terminate(
+            ["serve-cluster", "--shards", "2", "-a", "age:dc:0.5"], ingest, signal.SIGINT
+        )
+        assert code == 0
+        assert survivors == []
+
 
 class TestStoreStatsCommand:
     def test_store_stats_pretty_prints_live_server(self):
@@ -324,7 +337,11 @@ class TestServeClusterCommand:
         )
         assert code == 0
         assert "statistics cluster listening on http://127.0.0.1:" in output
-        assert "shards: shard-0, shard-1, shard-2" in output
+        assert re.search(
+            r"shards: shard-0 \(pid \d+, port \d+\), shard-1 \(pid \d+, port \d+\), "
+            r"shard-2 \(pid \d+, port \d+\)\n",
+            output,
+        )
         assert "age" in output and "hot (partitioned)" in output
 
     def test_serve_cluster_accepts_live_requests(self):
@@ -410,6 +427,40 @@ class TestServeClusterCommand:
             if not thread.daemon and thread.name.startswith("repro-")
         ]
         assert leaked == []
+
+    def test_serve_cluster_reports_fresh_logs_over_empty_wals(self, tmp_path):
+        from repro.service import HistogramStore
+
+        argv = ["serve-cluster", "--port", "0", "--spawn-shards", "2", "--duration", "0.05",
+                "--wal-dir", str(tmp_path / "wal")]
+        for _ in range(2):  # the workers leave empty logs behind
+            code, output = _run(argv)
+            assert code == 0
+            assert "(fresh logs)" in output
+        store, recovered = HistogramStore.open(tmp_path / "wal" / "shard-1")
+        store.create("age", "dc", memory_kb=0.5)
+        store.close()
+        assert not recovered
+        code, output = _run(argv)
+        assert "(recovered existing catalogs)" in output
+
+    def test_serve_cluster_interrupted_while_workers_start_leaves_no_worker(self, monkeypatch):
+        from repro.cluster.supervisor import ShardSupervisor
+
+        pids = []
+        real_await_ready = ShardSupervisor._await_ready
+
+        def await_ready(supervisor, shard_id, process):
+            pids.append(process.pid)
+            if shard_id == "shard-1":
+                raise KeyboardInterrupt  # Ctrl-C while the second worker starts
+            return real_await_ready(supervisor, shard_id, process)
+
+        monkeypatch.setattr(ShardSupervisor, "_await_ready", await_ready)
+        with pytest.raises(KeyboardInterrupt):
+            _run(["serve-cluster", "--port", "0", "--shards", "2", "--duration", "0"])
+        assert len(pids) == 2
+        assert [pid for pid in pids if _alive(pid)] == []
 
     def test_serve_cluster_spawn_shards_runs_worker_processes(self, tmp_path):
         code, output = _run(
@@ -563,6 +614,37 @@ class TestMetricsWatchCommand:
         assert "repro_process_threads" in output
         # Histogram bucket series are folded away.
         assert "_bucket" not in output
+
+    def test_watch_lists_each_workers_store_series(self):
+        import threading
+        import time
+
+        from repro.cluster import ClusterClient, ClusterCoordinator, ClusterServer, ShardSupervisor
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        with ShardSupervisor(2) as supervisor:
+            coordinator = ClusterCoordinator(supervisor.start(), metrics=registry)
+            with ClusterServer(coordinator, metrics=registry) as server:
+                host, port = server.address
+                client = ClusterClient(host, port)
+                client.create("hot", "dc", memory_kb=0.5, partition_boundaries=[500.0])
+
+                def churn():
+                    for _ in range(10):
+                        client.ingest("hot", insert=[100.0, 900.0])
+                        time.sleep(0.03)
+
+                worker = threading.Thread(target=churn)
+                worker.start()
+                code, output = _run(
+                    ["metrics", "--host", host, "--port", str(port), "--watch", "0.3"]
+                )
+                worker.join()
+        assert code == 0
+        for shard in ("shard-0", "shard-1"):
+            assert f'repro_store_mutations_total{{shard="{shard}",attribute="hot"' in output
+            assert f'repro_process_threads{{shard="{shard}"}}' in output
 
     def test_watch_rejects_nonpositive_interval(self):
         with self._serving() as server:

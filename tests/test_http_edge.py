@@ -5,9 +5,11 @@ lifecycle (``repro.service.server.EdgeServer``); every test here runs against
 both, so the contract cannot drift between them.
 """
 
+import contextlib
 import http.client
 import json
 import socket
+import time
 
 import pytest
 
@@ -69,6 +71,41 @@ class TestEdgeContract:
         )
         assert status == 400
         assert "Content-Length" in json.loads(body)["error"]
+
+    def test_non_numeric_content_length_400_closes_the_connection(self, server):
+        # The body's end is unknown, so the server must not parse it as the
+        # start of a next request: it answers once and closes.
+        request = (
+            b"POST /attributes HTTP/1.1\r\nHost: edge\r\nContent-Length: abc\r\n\r\n"
+            b'{"name":"x"}GET /health HTTP/1.1\r\nHost: edge\r\n\r\n'
+        )
+        received = b""
+        with socket.create_connection(server.address, timeout=2.0) as sock:
+            sock.sendall(request)
+            with contextlib.suppress(ConnectionResetError):
+                while chunk := sock.recv(65536):
+                    received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+        assert received.count(b"HTTP/1.1 ") == 1
+
+    def test_reused_connection_does_not_stall(self, server):
+        # One keep-alive connection, 50 sequential requests: a delayed-ACK
+        # stall per response (~40 ms) would take about 2 s.
+        connection = http.client.HTTPConnection(*server.address, timeout=2.0)
+        try:
+            started = time.perf_counter()
+            for _ in range(50):
+                connection.request("GET", "/health")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 1.0
 
     def test_unknown_attribute_404_has_name(self, server):
         status, _, body = _request(server, "GET", "/attributes/missing/estimate?op=total")

@@ -23,8 +23,11 @@ merge lock.
 
 from __future__ import annotations
 
+import os
+import signal
 import socket
 import threading
+import time
 
 import pytest
 
@@ -38,7 +41,7 @@ from repro import (
     StatisticsClient,
     StatisticsServer,
 )
-from repro.cluster import BinaryShardClient, BinaryShardServer, ProcessShard
+from repro.cluster import BinaryShardClient, BinaryShardServer, ProcessShard, ShardSupervisor
 from repro.obs import (
     LATENCY_BUCKETS_S,
     AccuracySampler,
@@ -50,6 +53,7 @@ from repro.obs import (
     route_label,
     use_trace,
 )
+from repro.obs.registry import federate
 
 # ----------------------------------------------------------------------
 # exposition parsing helpers
@@ -293,6 +297,79 @@ class TestMetricsExposition:
         assert stats["pipeline"]["requeued_values"] == 0
         assert stats["pipeline"]["dropped_values"] == 0
         assert stats["pipeline"]["flushed_values"] == 2
+
+
+class TestWorkerMetrics:
+    """Spawned workers report their own store, WAL, process and profiler data
+    through the cluster edge, each series labelled with its shard."""
+
+    @staticmethod
+    def _serve(supervisor, **knobs):
+        registry = MetricsRegistry()
+        coordinator = ClusterCoordinator(supervisor.start(), metrics=registry)
+        coordinator.create("hot", "dc", memory_kb=0.5, partition_boundaries=[500.0])
+        coordinator.ingest("hot", insert=[100.0, 200.0, 900.0])
+        return ClusterServer(coordinator, metrics=registry, **knobs)
+
+    @staticmethod
+    def _families_typed_once(text: str) -> None:
+        types = [line.split()[2] for line in text.splitlines() if line.startswith("# TYPE ")]
+        helps = [line.split()[2] for line in text.splitlines() if line.startswith("# HELP ")]
+        assert sorted(types) == sorted(set(types)) == sorted(helps)
+
+    def test_metrics_carry_every_workers_series_under_a_shard_label(self, tmp_path):
+        with ShardSupervisor(2, wal_root=tmp_path / "wal") as supervisor:
+            with self._serve(supervisor) as server:
+                text = ClusterClient(*server.address).metrics_text()
+        self._families_typed_once(text)
+        assert_not_torn(text)
+        samples = parse_samples(text)
+        for shard in ("shard-0", "shard-1"):
+            label = f'{{shard="{shard}"'
+            for family in ("repro_store_", "repro_wal_", "repro_process_"):
+                assert any(label in name for name in samples if name.startswith(family))
+            mutations = f'{{shard="{shard}",attribute="hot",op="insert"}}'
+            assert samples["repro_store_mutations_total" + mutations] >= 1
+        # The edge's own series stay unlabelled beside the workers'.
+        assert "repro_process_threads" in samples
+
+    def test_metrics_answer_with_a_worker_down(self):
+        with ShardSupervisor(2, restart=False) as supervisor:
+            with self._serve(supervisor) as server:
+                os.kill(supervisor.pid("shard-1"), signal.SIGKILL)
+                deadline = time.monotonic() + 10.0
+                while supervisor.describe()["shard-1"]["alive"]:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+                text = ClusterClient(*server.address).metrics_text()
+        self._families_typed_once(text)
+        threads = [line for line in text.splitlines() if line.startswith("repro_process_threads{")]
+        assert len(threads) == 1 and 'shard="shard-0"' in threads[0]
+
+    def test_in_process_shards_sharing_the_registry_gain_no_shard_label(self):
+        registry = MetricsRegistry()
+        shards = [LocalShard(f"shard-{i}", HistogramStore(metrics=registry)) for i in range(2)]
+        coordinator = ClusterCoordinator(shards, metrics=registry)
+        coordinator.create("age", "dc", memory_kb=0.5)
+        coordinator.ingest("age", insert=[1.0, 2.0])
+        with ClusterServer(coordinator, metrics=registry) as server:
+            text = ClusterClient(*server.address).metrics_text()
+        self._families_typed_once(text)
+        assert parse_samples(text)['repro_store_mutations_total{attribute="age",op="insert"}'] == 2
+        assert text == federate(text, {})
+        assert not any(
+            line.startswith(("repro_store_", "repro_process_")) and "shard=" in line
+            for line in text.splitlines()
+        )
+
+    def test_profile_carries_each_workers_attribution(self):
+        with ShardSupervisor(2, profile=True) as supervisor:
+            with self._serve(supervisor, profile=True) as server:
+                body = ClusterClient(*server.address)._request("GET", "/profile")
+        assert "hot_stacks" in body
+        assert sorted(body["shards"]) == ["shard-0", "shard-1"]
+        for attribution in body["shards"].values():
+            assert {"samples", "hot_stacks", "hot_functions"} <= set(attribution)
 
 
 # ----------------------------------------------------------------------
