@@ -730,42 +730,52 @@ _REP011_SEND_CALLS = {"send", "sendall", "receive", "request", "getresponse"}
         "when the request is idempotent (an HTTP GET, an op in "
         "IDEMPOTENT_OPS); everything else must raise -- on the binary "
         "transport it surfaces as ShardUnavailableError.  Connect-phase "
-        "failures stay freely retriable.  The guard is spelled as a name "
-        "containing `idempotent` next to a `raise`.  The supervisor "
-        "inherits the same discipline: it restarts processes, it never "
-        "replays requests on their behalf."
+        "failures stay freely retriable.  A retry is a `continue` back into "
+        "the loop, or a handler that re-sends itself (calls request, "
+        "getresponse, send, sendall or receive), inside a loop or not: the "
+        "classic stale keep-alive bug re-sends a write on a fresh connection "
+        "from the except clause.  The guard is spelled as a name containing "
+        "`idempotent` next to a `raise`.  The supervisor inherits the same "
+        "discipline: it restarts processes, it never replays requests on "
+        "their behalf."
     ),
 )
 def check_no_post_wire_retry(module: SourceModule) -> Iterator[Finding]:
-    for loop in ast.walk(module.tree):
-        if not isinstance(loop, (ast.For, ast.While)):
+    in_loop = {
+        id(node)
+        for loop in ast.walk(module.tree)
+        if isinstance(loop, (ast.For, ast.While))
+        for node in ast.walk(loop)
+    }
+    for try_node in ast.walk(module.tree):
+        if not isinstance(try_node, ast.Try):
             continue
-        for try_node in ast.walk(loop):
-            if not isinstance(try_node, ast.Try):
-                continue
-            sent = any(
-                _call_name(call) in _REP011_SEND_CALLS
-                for stmt in try_node.body
-                for call in _calls(stmt)
+        sent = any(
+            _call_name(call) in _REP011_SEND_CALLS
+            for stmt in try_node.body
+            for call in _calls(stmt)
+        )
+        if not sent:
+            continue
+        for handler in try_node.handlers:
+            continues = id(try_node) in in_loop and any(
+                isinstance(n, ast.Continue) for n in ast.walk(handler)
             )
-            if not sent:
+            resends = any(
+                _call_name(call) in _REP011_SEND_CALLS for call in _calls(handler)
+            )
+            if not (continues or resends):
                 continue
-            for handler in try_node.handlers:
-                retries = any(
-                    isinstance(n, ast.Continue) for n in ast.walk(handler)
+            guarded = any(
+                isinstance(n, ast.Raise) for n in ast.walk(handler)
+            ) and any(
+                isinstance(n, ast.Name) and "idempotent" in n.id
+                for n in ast.walk(handler)
+            )
+            if not guarded:
+                yield (
+                    handler.lineno,
+                    "retry after the request reached the wire without an "
+                    "idempotency guard (raise unless the request is "
+                    "idempotent); a replayed write double-applies",
                 )
-                if not retries:
-                    continue
-                guarded = any(
-                    isinstance(n, ast.Raise) for n in ast.walk(handler)
-                ) and any(
-                    isinstance(n, ast.Name) and "idempotent" in n.id
-                    for n in ast.walk(handler)
-                )
-                if not guarded:
-                    yield (
-                        handler.lineno,
-                        "retry after the request reached the wire without an "
-                        "idempotency guard (raise unless the request is "
-                        "idempotent); a replayed write double-applies",
-                    )

@@ -155,7 +155,8 @@ class RequestObserver:
     propagation is never refused), dispatches inside ``use_trace``, then
     calls :meth:`finish`, which records the per-route latency metrics and
     emits the structured slow-request line when the request ran longer than
-    ``slow_request_ms``.
+    ``slow_request_ms``.  The handler also reports each connection it opens
+    and closes, which shows how often clients reuse one.
     """
 
     def __init__(
@@ -188,6 +189,21 @@ class RequestObserver:
             "Requests that exceeded the slow-request threshold",
             labelnames=("route",),
         )
+        self._m_connections = metrics.counter(
+            "repro_http_connections_total", "HTTP connections accepted"
+        )
+        self._m_open_connections = metrics.gauge(
+            "repro_http_open_connections", "HTTP connections open now"
+        )
+
+    def connection_opened(self) -> None:
+        """Count a connection the edge accepted and is now serving."""
+        self._m_connections.inc()
+        self._m_open_connections.inc()
+
+    def connection_closed(self) -> None:
+        """A served connection was closed (by either side, or by ``stop``)."""
+        self._m_open_connections.dec()
 
     def begin(self, header_id: str | None) -> Trace | None:
         """Open a trace for one request (or pass when tracing is off).

@@ -3,8 +3,24 @@
 A thin JSON wrapper over :mod:`http.client` mirroring every server route, so
 tests (and the CLI's ``store-stats`` command) can drive an in-process
 :class:`~repro.service.server.StatisticsServer` without third-party
-dependencies.  Each call opens its own connection, which makes the client
-trivially safe to share between threads.
+dependencies.
+
+Each thread that calls a client keeps one HTTP/1.1 connection of its own
+(in a :class:`threading.local`), so one client is safe to share between
+threads and a thread's sequential requests pay one TCP handshake and one
+server handler thread, not one per request.  Before a request is written on
+a kept connection, two checks decide whether it is reused:
+
+* it has been idle for less than :data:`REUSE_IDLE_LIMIT_S`, half the
+  edge's idle timeout, so the server never closes it under the write;
+* a zero-timeout readability probe finds nothing to read.  An idle
+  connection that reads EOF was closed by the server (a restart, a stop);
+  one that holds bytes no request asked for cannot be trusted either.
+
+Otherwise the connection is dropped and a new one is opened, *before*
+anything is written.  An answer that will close the connection
+(``Connection: close``, HTTP/1.0) is never reused, and a connection whose
+request failed is discarded.
 
 Attribute names are URL-escaped with :func:`urllib.parse.quote` (``safe=''``),
 so names containing ``/``, spaces or ``%`` route correctly; the server
@@ -16,12 +32,16 @@ double-applying a write: a *connect* failure is always retriable because
 nothing reached the server, while a failure after the request was handed to
 the transport is only retried for idempotent ``GET`` requests -- a ``POST``
 whose fate is unknown is raised immediately so the caller decides (REP011).
+That holds on a reused connection too: the probe runs before the write, so
+a stale kept connection costs a reconnect, never a re-sent ``POST``.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import socket
+import threading
 import time
 from http.client import HTTPConnection, HTTPException
 from collections.abc import Mapping, Sequence
@@ -31,8 +51,27 @@ from urllib.parse import quote
 from .._validation import require_positive_float
 from ..exceptions import ServiceError, UnknownAttributeError
 from ..obs.trace import TRACE_HEADER, current_trace_id
+from .server import EDGE_IDLE_TIMEOUT_S
 
 __all__ = ["StatisticsClient"]
+
+#: A kept connection idle this long is replaced rather than reused.
+REUSE_IDLE_LIMIT_S = EDGE_IDLE_TIMEOUT_S / 2
+
+
+def _nothing_to_read(sock: socket.socket, timeout: float | None) -> bool:
+    """The zero-timeout readability probe: ``True`` when ``sock`` is open and silent."""
+    try:
+        sock.settimeout(0.0)
+        # EOF (the server closed) or bytes no request asked for.
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return True
+    except OSError:  # reset by the server
+        return False
+    finally:
+        sock.settimeout(timeout)
+    return False
 
 
 class StatisticsClient:
@@ -65,10 +104,28 @@ class StatisticsClient:
             require_positive_float(retry_backoff, "retry_backoff")
         self.retries = int(retries)
         self.retry_backoff = float(retry_backoff)
+        # Per thread: ``connection`` (kept, or absent) and ``idle_since``.
+        self._kept = threading.local()
 
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
+    def _reusable_connection(self) -> HTTPConnection | None:
+        """Take this thread's kept connection if it is safe to write to.
+
+        A connection that fails a check is closed here, before anything is
+        written, so replacing it is a connect-phase step.
+        """
+        connection = getattr(self._kept, "connection", None)
+        if connection is None:
+            return None
+        self._kept.connection = None
+        idle_s = time.monotonic() - self._kept.idle_since
+        if idle_s < REUSE_IDLE_LIMIT_S and _nothing_to_read(connection.sock, self.timeout):
+            return connection
+        connection.close()
+        return None
+
     def _raw_request(
         self,
         method: str,
@@ -87,8 +144,9 @@ class StatisticsClient:
         for attempt in range(self.retries + 1):
             if attempt:
                 time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
-            connection = HTTPConnection(self.host, self.port, timeout=self.timeout)
-            try:
+            connection = self._reusable_connection()
+            if connection is None:
+                connection = HTTPConnection(self.host, self.port, timeout=self.timeout)
                 try:
                     # Connect separately from sending: a failure here cannot
                     # have reached the server, so it is always safe to retry.
@@ -96,19 +154,23 @@ class StatisticsClient:
                 except OSError as error:
                     last_error = error
                     continue
-                try:
-                    connection.request(method, path, body=body, headers=headers)
-                    response = connection.getresponse()
-                    raw = response.read()
-                except (OSError, HTTPException) as error:
-                    # The request may or may not have been processed; only an
-                    # idempotent GET can be retried without double-applying.
-                    if not idempotent:
-                        raise
-                    last_error = error
-                    continue
-            finally:
+            try:
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+                raw = response.read()
+            except (OSError, HTTPException) as error:
                 connection.close()
+                # The request may or may not have been processed; only an
+                # idempotent GET can be retried without double-applying.
+                if not idempotent:
+                    raise
+                last_error = error
+                continue
+            if response.will_close:
+                connection.close()
+            else:
+                self._kept.connection = connection
+                self._kept.idle_since = time.monotonic()
             return response.status, raw
         assert last_error is not None
         raise last_error

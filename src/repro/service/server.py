@@ -2,9 +2,20 @@
 
 :class:`EdgeServer` and :class:`EdgeHandler` are the one HTTP edge both
 server kinds run on: a ``http.server.ThreadingHTTPServer`` (one thread per
-connection), body parsing, the error mapping, request metrics and tracing,
-the ``/metrics``, ``/profile`` and estimate routes, and the start / stop
-lifecycle.  :class:`StatisticsServer` puts a
+connection), body parsing, the error mapping, request and connection metrics
+and tracing, the ``/metrics``, ``/profile`` and estimate routes, and the
+start / stop lifecycle.
+
+Connections are kept alive (HTTP/1.1) for at most
+:data:`EDGE_IDLE_TIMEOUT_S` of silence: a connection idle that long, or a
+request whose headers or body stall that long, is closed and its thread
+freed.  :meth:`EdgeServer.stop` closes every kept connection before it
+releases the kind's machinery: it stops accepting, shuts the read side of
+each connection (an idle handler reads EOF and exits; one mid-request still
+writes its answer, with ``Connection: close``), waits up to
+:data:`STOP_GRACE_S` for those handlers, and only then runs the kind's
+``_on_stop`` -- on a single node, the ingest pipeline's drain -- so no
+write is acknowledged after the drain.  :class:`StatisticsServer` puts a
 :class:`~repro.service.store.HistogramStore` behind it and
 :class:`~repro.cluster.server.ClusterServer` a cluster coordinator; each
 kind adds only its own routes.  No third-party dependencies.
@@ -49,6 +60,7 @@ are applied synchronously before the response is sent.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import threading
@@ -79,6 +91,16 @@ METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: A route's answer: HTTP status and JSON body.
 Reply = tuple[int, dict[str, Any]]
 
+#: Seconds a kept connection may stay silent -- between requests, or inside
+#: one whose headers or body stall -- before the edge closes it and frees its
+#: thread.  ``StatisticsClient`` reuses a connection only while it has been
+#: idle for less than half of this, so the two never race.
+EDGE_IDLE_TIMEOUT_S = 30.0
+
+#: Seconds :meth:`EdgeServer.stop` waits for handlers still answering a
+#: request before it releases the kind's machinery regardless.
+STOP_GRACE_S = 5.0
+
 
 class EdgeHandler(BaseHTTPRequestHandler):
     """HTTP plumbing shared by both server kinds.
@@ -91,15 +113,30 @@ class EdgeHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # Buffered, so a response's headers and body leave in one write.
     wbufsize = -1
+    # A response longer than the buffer takes several writes; Nagle would
+    # hold the last one for the client's delayed ACK on a reused connection.
+    disable_nagle_algorithm = True
+    # The socket timeout: on expiry the base class closes the connection.
+    timeout = EDGE_IDLE_TIMEOUT_S
 
     # Set by EdgeServer when binding the handler class.
     edge: EdgeServer
 
     def setup(self) -> None:
         super().setup()
-        # A response longer than the buffer takes several writes; Nagle would
-        # hold the last one for the client's delayed ACK on a reused connection.
-        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._tracked = self.edge._track(self.connection)
+
+    def handle(self) -> None:
+        # A connection whose thread starts after stop() began is closed unserved.
+        if self._tracked:
+            super().handle()
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            if self._tracked:
+                self.edge._untrack(self.connection)
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if not self.edge.quiet:  # pragma: no cover - debugging aid
@@ -115,7 +152,6 @@ class EdgeHandler(BaseHTTPRequestHandler):
         self._send_body(status, text.encode("utf-8"), content_type)
 
     def _send_body(self, status: int, body: bytes, content_type: str) -> None:
-        self._status_sent = status
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -124,11 +160,17 @@ class EdgeHandler(BaseHTTPRequestHandler):
             # Echo the request's trace id so callers can correlate responses
             # with the slow-request log.
             self.send_header(TRACE_HEADER, trace_id)
+        if self.edge._stopped:
+            # stop() has begun: answer this request, then let the thread go.
+            self.close_connection = True
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
         self.wfile.flush()
+        # Set once the answer left: a request whose reply could not be
+        # written is counted with status 0.
+        self._status_sent = status
 
     def _read_json(self) -> dict[str, Any]:
         length_text = self.headers.get("Content-Length") or "0"
@@ -167,16 +209,20 @@ class EdgeHandler(BaseHTTPRequestHandler):
         # legs (which run on this thread) stamp the same id on every shard
         # request frame.  use_trace(None) is a no-op context: the untraced
         # path pays one threading.local swap.
-        with use_trace(trace):
-            self._handle_inner(method)
-        if observer is not None:
-            observer.finish(
-                trace,
-                method=method,
-                route=route_label(self._route()),
-                status=self._status_sent,
-                elapsed_s=time.perf_counter() - start,
-            )
+        try:
+            with use_trace(trace):
+                self._handle_inner(method)
+        finally:
+            # Also when a socket error (a body read that timed out, a reset
+            # while replying) ends the request; the base class then closes.
+            if observer is not None:
+                observer.finish(
+                    trace,
+                    method=method,
+                    route=route_label(self._route()),
+                    status=self._status_sent,
+                    elapsed_s=time.perf_counter() - start,
+                )
 
     def _handle_inner(self, method: str) -> None:
         try:
@@ -336,6 +382,11 @@ class EdgeServer:
         self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
         self._started = False
+        # Each open connection and the handler thread serving it, so stop()
+        # can close kept connections and wait for their handlers.  The lock
+        # guards only this map and the flag; socket calls happen outside it.
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
         self._stopped = False
 
     @property
@@ -354,6 +405,22 @@ class EdgeServer:
         """The ``/profile`` body: the sampling profiler's attribution so far."""
         assert self.profiler is not None
         return self.profiler.attribution()
+
+    def _track(self, connection: socket.socket) -> bool:
+        """Record a handler's connection; ``False`` once :meth:`stop` has begun."""
+        with self._connections_lock:
+            if self._stopped:
+                return False
+            self._connections[connection] = threading.current_thread()
+        if self.observer is not None:
+            self.observer.connection_opened()
+        return True
+
+    def _untrack(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            del self._connections[connection]
+        if self.observer is not None:
+            self.observer.connection_closed()
 
     def _on_start(self) -> None:
         """Start the kind's own machinery before the first request is served."""
@@ -383,22 +450,38 @@ class EdgeServer:
         self._httpd.serve_forever()
 
     def stop(self) -> None:
-        """Stop serving, close the socket, then release the kind's machinery.
+        """Stop serving, close kept connections, then release the kind's machinery.
+
+        Stops accepting, then shuts the read side of every open connection:
+        an idle handler reads EOF and exits, and one mid-request still
+        writes its answer (with ``Connection: close``).  Those handlers get
+        :data:`STOP_GRACE_S` to finish before :meth:`_on_stop` runs, so a
+        write acknowledged on a kept connection is never lost to the
+        pipeline drain.
 
         Idempotent, and safe on a server that was constructed but never
         started: ``BaseServer.shutdown`` would block forever waiting for a
         ``serve_forever`` loop that never ran, so it is only invoked after a
         start, while the bound socket is always closed.
         """
-        if self._stopped:
-            return
-        self._stopped = True
+        with self._connections_lock:
+            if self._stopped:
+                return
+            # From here no new connection is served (see _track).
+            self._stopped = True
+            kept = list(self._connections.items())
         if self._started:
             self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join()
             self._thread = None
+        for connection, _ in kept:
+            with contextlib.suppress(OSError):  # its handler already closed it
+                connection.shutdown(socket.SHUT_RD)
+        deadline = time.monotonic() + STOP_GRACE_S
+        for _, handler in kept:
+            handler.join(max(0.0, deadline - time.monotonic()))
         if self.profiler is not None:
             self.profiler.stop()
         self._on_stop()

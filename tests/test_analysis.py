@@ -590,6 +590,66 @@ class TestRep011NoBinaryPostWireRetry:
         assert findings(source, "src/repro/service/store.py", "REP011") == []
 
 
+class TestRep011ResendingHandler:
+    """An except clause that re-sends is a retry, with or without a loop:
+    the stale keep-alive bug re-sends a write on a fresh connection."""
+
+    def test_flags_unguarded_resend_on_a_fresh_connection(self):
+        source = """
+            def request(self, method, path, body):
+                connection = self.kept_connection()
+                try:
+                    connection.request(method, path, body=body)
+                    return connection.getresponse()
+                except OSError:
+                    connection = self.new_connection()
+                    connection.request(method, path, body=body)
+                    return connection.getresponse()
+        """
+        assert findings(source, "src/repro/service/client.py", "REP011") == ["REP011"]
+
+    def test_flags_unguarded_frame_resend_inside_a_loop(self):
+        source = """
+            def call(self, legs):
+                for connection, frame in legs:
+                    try:
+                        connection.send(frame)
+                    except OSError:
+                        self.reconnect(connection).send(frame)
+        """
+        assert findings(source, "src/repro/cluster/transport.py", "REP011") == ["REP011"]
+
+    def test_passes_idempotency_guarded_resend(self):
+        source = """
+            def request(self, method, path, body):
+                idempotent = method == "GET"
+                connection = self.kept_connection()
+                try:
+                    connection.request(method, path, body=body)
+                    return connection.getresponse()
+                except OSError:
+                    if not idempotent:
+                        raise
+                    connection = self.new_connection()
+                    connection.request(method, path, body=body)
+                    return connection.getresponse()
+        """
+        assert findings(source, "src/repro/service/client.py", "REP011") == []
+
+    def test_passes_handler_that_discards_and_raises(self):
+        source = """
+            def request(self, method, path, body):
+                connection = self.kept_connection()
+                try:
+                    connection.request(method, path, body=body)
+                    return connection.getresponse()
+                except OSError:
+                    connection.close()
+                    raise
+        """
+        assert findings(source, "src/repro/service/client.py", "REP011") == []
+
+
 class TestSuppressions:
     PATH = "src/repro/cluster/router.py"
 

@@ -9,13 +9,15 @@ import contextlib
 import http.client
 import json
 import socket
+import threading
 import time
 
 import pytest
 
-from repro import HistogramStore, StatisticsServer
+from repro import HistogramStore, IngestPipeline, StatisticsClient, StatisticsServer
 from repro.cluster import ClusterCoordinator, ClusterServer, LocalShard
-from repro.obs import TRACE_HEADER
+from repro.obs import TRACE_HEADER, MetricsRegistry
+from repro.service.server import EdgeHandler
 
 
 def _service(**knobs):
@@ -141,3 +143,232 @@ class TestEdgeContract:
         running.stop()
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(running.address, timeout=2.0).close()
+
+
+def _handler_threads(already=frozenset()):
+    """Live per-connection edge threads (``ThreadingMixIn`` names them) not in ``already``."""
+    return {
+        thread
+        for thread in threading.enumerate()
+        if "process_request_thread" in thread.name and thread not in already
+    }
+
+
+def _kept_connection(server):
+    """A raw keep-alive connection that has served one request."""
+    connection = http.client.HTTPConnection(*server.address, timeout=2.0)
+    connection.request("GET", "/health")
+    response = connection.getresponse()
+    response.read()
+    assert response.status == 200 and not response.will_close
+    return connection
+
+
+def _stalled_body(server):
+    """A client that announces a 100-byte body and sends one byte of it."""
+    sock = socket.create_connection(server.address, timeout=2.0)
+    sock.sendall(
+        b"POST /attributes HTTP/1.1\r\nHost: edge\r\nContent-Length: 100\r\n\r\n{"
+    )
+    return sock
+
+
+def _total(server, name):
+    return server.backend.query(name, [{"op": "total"}])["results"][0]
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
+class TestKeptConnections:
+    def test_one_connection_per_client_thread(self, make_server):
+        registry = MetricsRegistry()
+        connections = registry.counter("repro_http_connections_total", "")
+        open_now = registry.gauge("repro_http_open_connections", "")
+        with make_server(metrics=registry) as running:
+            client = StatisticsClient(*running.address)
+            for _ in range(20):
+                assert client.health()["status"] == "ok"
+            assert connections.value() == 1
+
+            def burst():
+                for _ in range(10):
+                    client.health()
+
+            threads = [threading.Thread(target=burst) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert connections.value() == 4
+        assert open_now.value() == 0
+
+    def test_stop_closes_kept_connections(self, make_server):
+        running = make_server().start()
+        try:
+            client = StatisticsClient(*running.address)
+            client.create("age", "dc", memory_kb=0.5)
+            client.ingest("age", insert=[1.0, 2.0])
+            before = _total(running, "age")
+            kept = _kept_connection(running)
+        finally:
+            running.stop()
+        body = json.dumps({"insert": [3.0, 4.0, 5.0]})
+        with pytest.raises((OSError, http.client.HTTPException)):
+            kept.request("POST", "/attributes/age/ingest", body=body)
+            kept.getresponse().read()
+        kept.close()
+        assert _total(running, "age") == before
+
+    def test_no_handler_thread_survives_stop(self, make_server):
+        already = _handler_threads()
+        running = make_server().start()
+        kept = [_kept_connection(running) for _ in range(2)]
+        stalled = _stalled_body(running)
+        try:
+            assert _wait_for(lambda: len(_handler_threads(already)) == 3)
+            running.stop()
+            assert _handler_threads(already) == set()
+        finally:
+            running.stop()
+            stalled.close()
+            for connection in kept:
+                connection.close()
+
+    def test_idle_and_stalled_connections_time_out(self, make_server, monkeypatch):
+        monkeypatch.setattr(EdgeHandler, "timeout", 0.3)
+        registry = MetricsRegistry()
+        requests = registry.counter("repro_http_requests_total", "", labelnames=("route", "status"))
+        open_now = registry.gauge("repro_http_open_connections", "")
+        already = _handler_threads()
+        with make_server(metrics=registry) as running:
+            kept = _kept_connection(running)
+            stalled = _stalled_body(running)
+            try:
+                assert _wait_for(lambda: open_now.value() == 2)
+                assert _wait_for(lambda: not _handler_threads(already))
+                assert open_now.value() == 0
+                # The stalled body counts as a request that got no answer.
+                assert requests.value(route="/attributes", status="0") == 1
+            finally:
+                kept.close()
+                stalled.close()
+
+    def test_client_pausing_past_the_timeout_reconnects(self, make_server, monkeypatch):
+        # The client's reuse limit is half the edge's timeout; patch both.
+        monkeypatch.setattr(EdgeHandler, "timeout", 0.4)
+        monkeypatch.setattr("repro.service.client.REUSE_IDLE_LIMIT_S", 0.2)
+        registry = MetricsRegistry()
+        connections = registry.counter("repro_http_connections_total", "")
+        with make_server(metrics=registry) as running:
+            client = StatisticsClient(*running.address, retries=0)
+            client.create("age", "dc", memory_kb=0.5)
+            time.sleep(0.6)
+            client.ingest("age", insert=[1.0, 2.0, 3.0])
+            assert _total(running, "age") == 3
+            assert connections.value() == 2
+
+    @pytest.mark.parametrize("kind", ["StatisticsServer", "ClusterServer"])
+    def test_acknowledged_writes_survive_stop(self, kind, tmp_path):
+        """Writers on kept connections race stop(): every value the edge
+        acknowledged is in the recovered WAL, and nothing else is."""
+        wal_dirs = [tmp_path / "wal"] if kind == "StatisticsServer" else [
+            tmp_path / f"shard-{i}" for i in range(2)
+        ]
+        stores = [HistogramStore.open(wal_dir)[0] for wal_dir in wal_dirs]
+        if kind == "StatisticsServer":
+            running = StatisticsServer(stores[0], pipeline=IngestPipeline(stores[0]))
+        else:
+            shards = [LocalShard(f"shard-{i}", store) for i, store in enumerate(stores)]
+            running = ClusterServer(ClusterCoordinator(shards))
+        running.start()
+        StatisticsClient(*running.address).create("age", "dc", memory_kb=0.5)
+        acked = [0] * 3
+        stopped = threading.Event()
+
+        def writer(index):
+            connection = http.client.HTTPConnection(*running.address, timeout=5.0)
+            body = json.dumps({"insert": [float(index)] * 3})
+            after_stop = 0
+            try:
+                # Bounded, so a server that keeps serving after stop() fails
+                # the count below instead of hanging the test.
+                while after_stop < 3:
+                    if stopped.is_set():
+                        after_stop += 1
+                    connection.request("POST", "/attributes/age/ingest", body=body)
+                    response = connection.getresponse()
+                    response.read()
+                    if response.status not in (200, 202):
+                        break
+                    acked[index] += 3
+            except (OSError, http.client.HTTPException):
+                pass  # the stop closed this kept connection
+            finally:
+                connection.close()
+
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(3)]
+        for thread in threads:
+            thread.start()
+        try:
+            assert _wait_for(lambda: min(acked) >= 30)
+        finally:
+            running.stop()
+            stopped.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            for store in stores:
+                store.close()
+        assert not any(thread.is_alive() for thread in threads)
+        recovered = [HistogramStore.recover(wal_dir) for wal_dir in wal_dirs]
+        total = sum(store.total_count("age") for store in recovered if "age" in store)
+        for store in recovered:
+            store.close()
+        assert total == sum(acked)
+
+    def test_stop_closes_a_pipelining_client_after_its_current_answer(self, tmp_path, monkeypatch):
+        """Requests a client pipelined stay readable after the read-side
+        shutdown; only closing after the in-flight answer keeps the handler
+        from acknowledging them after the drain."""
+        monkeypatch.setattr("repro.service.server.STOP_GRACE_S", 0.1)
+        store = HistogramStore.open(tmp_path / "wal")[0]
+        running = StatisticsServer(store, pipeline=IngestPipeline(store)).start()
+        StatisticsClient(*running.address).create("age", "dc", memory_kb=0.5)
+        body = b'{"insert": [1.0]}'
+        request = b"POST /attributes/age/ingest HTTP/1.1\r\nHost: edge\r\n"
+        request += b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+        sock = socket.create_connection(running.address, timeout=10.0)
+        received = bytearray()
+
+        def read_answers():
+            with contextlib.suppress(OSError):
+                while chunk := sock.recv(65536):
+                    received.extend(chunk)
+
+        def pipeline_requests():
+            with contextlib.suppress(OSError):
+                sock.sendall(request * 5000)
+
+        threads = [threading.Thread(target=read_answers), threading.Thread(target=pipeline_requests)]
+        for thread in threads:
+            thread.start()
+        try:
+            assert _wait_for(lambda: received.count(b"HTTP/1.1 202") >= 50)
+        finally:
+            running.stop()
+            for thread in threads:
+                thread.join(timeout=10)
+            sock.close()
+            store.close()
+        assert not any(thread.is_alive() for thread in threads)
+        acked = received.count(b"HTTP/1.1 202")
+        assert acked < 5000
+        assert received.count(b"Connection: close") == 1
+        recovered = HistogramStore.recover(tmp_path / "wal")
+        assert recovered.total_count("age") == acked
+        recovered.close()

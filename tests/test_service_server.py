@@ -1,6 +1,11 @@
 """End-to-end tests for the JSON HTTP statistics server and its client."""
 
+import contextlib
+import http.client
 import json
+import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -14,6 +19,8 @@ from repro import (
     StatisticsServer,
     UnknownAttributeError,
 )
+from repro.obs import MetricsRegistry
+from repro.service.server import EdgeHandler
 
 
 @pytest.fixture
@@ -302,6 +309,73 @@ class _FlakySocket:
         self.socket.close()
 
 
+class _DropsSecondRequest:
+    """Answers the first request on each connection, then reads the second
+    and closes without answering: a server that died mid-request."""
+
+    def __init__(self):
+        self.socket = socket.socket()
+        self.socket.bind(("127.0.0.1", 0))
+        self.socket.listen(8)
+        self.port = self.socket.getsockname()[1]
+        self.requests = []
+        self.accepted = []
+        self._threads = []
+
+    def _read_request(self, stream):
+        head = stream.readline()
+        if not head:  # closed by the client, or by __exit__
+            return
+        length = 0
+        while (line := stream.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        stream.read(length)
+        self.requests.append(head.split(b" ")[0].decode())
+
+    def _serve(self, connection):
+        with connection, connection.makefile("rb") as stream:
+            self._read_request(stream)
+            connection.sendall(
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                b'Content-Length: 16\r\n\r\n{"status": "ok"}'
+            )
+            self._read_request(stream)
+
+    def _accept(self):
+        while True:
+            try:
+                connection, _ = self.socket.accept()
+            except OSError:
+                return
+            self.accepted.append(connection)
+            thread = threading.Thread(target=self._serve, args=(connection,), daemon=True)
+            self._threads.append(thread)
+            thread.start()
+
+    def __enter__(self):
+        self._threads.append(threading.Thread(target=self._accept, daemon=True))
+        self._threads[-1].start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        # Wake the blocked accept() and any read still waiting for a request.
+        for sock in [self.socket, *self.accepted]:
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+        self.socket.close()
+        for thread in self._threads:
+            thread.join(timeout=5)
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
 class TestClientRetries:
     def test_connect_failures_retry_with_backoff_then_raise(self, monkeypatch):
         import socket as socket_module
@@ -360,3 +434,74 @@ class TestClientRetries:
         host, port = server.address
         patient = StatisticsClient(host, port, retries=3, retry_backoff=0.01)
         assert patient.health()["status"] == "ok"
+
+    def test_post_reconnects_before_writing_after_the_server_closed(self, monkeypatch):
+        # The server times the kept connection out between two requests; the
+        # readability probe sees the EOF, so the POST goes out on a new
+        # connection and is applied once (retries=0: nothing is re-sent).
+        monkeypatch.setattr(EdgeHandler, "timeout", 0.2)
+        registry = MetricsRegistry()
+        store = HistogramStore(metrics=registry)
+        open_now = registry.gauge("repro_http_open_connections", "")
+        with StatisticsServer(store, metrics=registry) as running:
+            client = StatisticsClient(*running.address, retries=0)
+            client.create("age", "dc", memory_kb=0.5)
+            assert _wait_for(lambda: open_now.value() == 0)
+            client.ingest("age", insert=[1.0, 2.0])
+            assert store.total_count("age") == 2
+            assert registry.counter("repro_http_connections_total", "").value() == 2
+
+    def test_post_lost_on_a_reused_connection_raises_once(self):
+        with _DropsSecondRequest() as fake:
+            client = StatisticsClient("127.0.0.1", fake.port, retries=2, retry_backoff=0.01)
+            assert client.health()["status"] == "ok"
+            with pytest.raises((OSError, http.client.HTTPException)):
+                client.ingest("age", insert=[1.0])
+        assert fake.requests == ["GET", "POST"]
+        assert len(fake.accepted) == 1
+
+    def test_get_lost_on_a_reused_connection_is_retried(self):
+        with _DropsSecondRequest() as fake:
+            client = StatisticsClient("127.0.0.1", fake.port, retries=2, retry_backoff=0.01)
+            assert client.health()["status"] == "ok"
+            assert client.health()["status"] == "ok"
+        assert fake.requests == ["GET", "GET", "GET"]
+        assert len(fake.accepted) == 2
+
+    def test_threads_sharing_a_client_get_their_own_connections(self):
+        registry = MetricsRegistry()
+        store = HistogramStore(metrics=registry)
+        for index in range(4):
+            store.create(f"t{index}", "dc", memory_kb=0.5)
+            store.insert(f"t{index}", [float(v) for v in range(5 * (index + 1))])
+        with StatisticsServer(store, metrics=registry) as running:
+            client = StatisticsClient(*running.address)
+            start = threading.Barrier(4)
+            wrong = []
+
+            def reader(index):
+                start.wait(timeout=5)
+                for _ in range(25):
+                    total = client.total_count(f"t{index}")
+                    if total != 5 * (index + 1):
+                        wrong.append((index, total))
+
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert registry.counter("repro_http_connections_total", "").value() == 4
+
+    def test_connection_close_answer_is_not_reused(self):
+        registry = MetricsRegistry()
+        with StatisticsServer(HistogramStore(metrics=registry), metrics=registry) as running:
+            client = StatisticsClient(*running.address)
+            # A non-numeric Content-Length: the edge answers 400 and closes.
+            status, _ = client._raw_request("POST", "/attributes", None, {"Content-Length": "x"})
+            assert status == 400
+            assert client.health()["status"] == "ok"
+            assert client.health()["status"] == "ok"
+        assert registry.counter("repro_http_connections_total", "").value() == 2
