@@ -136,6 +136,14 @@ class TestEdgeContract:
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(address, timeout=2.0).close()
 
+    def test_stop_of_an_idle_server_is_prompt(self, make_server):
+        running = make_server().start()
+        # The answer proves the serve loop runs; it is back in its wait now.
+        assert _request(running, "GET", "/health")[0] == 200
+        started = time.monotonic()
+        running.stop()
+        assert time.monotonic() - started < 0.25
+
     def test_stop_twice(self, make_server):
         running = make_server().start()
         assert _request(running, "GET", "/health")[0] == 200
