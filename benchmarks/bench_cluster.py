@@ -3,21 +3,16 @@
 Measures the sharding layer and records the trajectory in
 ``BENCH_cluster.json``:
 
-* **in-process shards** (``local_cpu_bound``) -- aggregate ingest throughput
-  of the mixed catalog (8 attributes placed round-robin) plus one hot
-  range-partitioned attribute, at 1 and 4 in-process shards, with a reader
-  thread served throughout.  The shards share one interpreter, so on any
-  host they sit near 1.0x: the coordinator runs in-process legs one after
-  another, and the GIL would serialise them anyway.
-
-* **spawned process shards** -- the same CPU-bound workload against REAL
-  worker processes launched by the :class:`~repro.cluster.supervisor.\
-ShardSupervisor` and reached over the persistent binary transport.  Unlike
-  in-process shards (one interpreter, one GIL), each spawned shard applies
-  batches on its own core, so on a multi-core host this section shows real
-  CPU scaling (target >= 2.5x at 4 shards).  On a single-core host the
-  honest number is ~1x -- the section records ``host_cpu_count`` so readers
-  can tell which regime a given JSON was measured in.
+* **spawned process shards** -- aggregate ingest throughput of the mixed
+  catalog (8 attributes placed round-robin) plus one hot range-partitioned
+  attribute, at 1 and 4 REAL worker processes launched by the
+  :class:`~repro.cluster.supervisor.ShardSupervisor` and reached over the
+  persistent binary transport, with a reader thread served throughout.
+  Each spawned shard applies batches on its own core, so on a multi-core
+  host this section shows real CPU scaling (target >= 2.5x at 4 shards).
+  On a single-core host the honest number is ~1x -- the section records
+  ``host_cpu_count`` so readers can tell which regime a given JSON was
+  measured in.
 
 * **merged-estimate accuracy** -- the hot attribute is range-partitioned over
   4 shards, queried through the coordinator's merged global histogram
@@ -26,9 +21,7 @@ ShardSupervisor` and reached over the persistent binary transport.  Unlike
   records the observed maximum deviation as a fraction of the total count and
   asserts it stays within the recorded error bound.
 
-Every section checks that each submitted value is conserved.  The read-QPS
-body (:func:`run_read_qps_config`) is not a section here; the matrix's
-``read_qps_*`` cells run it.  Run directly:
+Every section checks that each submitted value is conserved.  Run directly:
 ``python benchmarks/bench_cluster.py [--smoke]``.
 """
 
@@ -65,69 +58,8 @@ ATTRIBUTE_MIX = [
 HOT = "hot"
 DOMAIN = (0.0, 5000.0)
 
-#: Emulated shard apply engine: per-batch and per-value apply cost.  20 us per
-#: value is a ~50k values/sec engine -- in the range one StatisticsServer
-#: process sustains over HTTP with modest batches (34k/s at batch 32, 114k/s
-#: at batch 128 on this class of host).
-APPLY_PER_BATCH_S = 0.001
-APPLY_PER_VALUE_S = 0.000020
-
-#: Emulated shard serve engine: per-query cost on the read path.  200 us per
-#: query is a ~5k queries/sec engine per shard -- one StatisticsServer process
-#: answering small estimate batches over HTTP.  The serve lock is deliberately
-#: SEPARATE from the apply lock: the store's read path is lock-free (published
-#: snapshots, REP010), so a shard's reads never wait behind its writes; what
-#: remains per-shard is the serving engine's own capacity, which is exactly
-#: what this sleep models.
-SERVE_PER_QUERY_S = 0.000200
-
 #: Error bound the merged estimates must stay within (fraction of total).
 MERGED_ERROR_BOUND = 0.02
-
-
-class EmulatedApplyStore(HistogramStore):
-    """A store whose write path behaves like a remote shard's apply engine.
-
-    Writes serialise on one per-shard apply lock and pay the engine's
-    per-batch + per-value cost (a clock sleep) before the real ``insert_many``
-    runs.  When a per-query cost is configured, reads likewise serialise on a
-    per-shard **serve** lock -- a different lock than the apply lock, because
-    the store's read path is lock-free (published snapshots) and a real
-    shard's reads never queue behind its apply engine.  This is the per-shard
-    serialisation a real deployment has (each shard applies and serves on its
-    own hardware) reduced to its timing skeleton, so shard-count scaling can
-    be measured on any host.
-    """
-
-    def __init__(
-        self, per_batch: float, per_value: float, per_query: float = 0.0, **kwargs
-    ) -> None:
-        super().__init__(**kwargs)
-        self._apply_lock = threading.Lock()
-        self._serve_lock = threading.Lock()
-        self._per_batch = per_batch
-        self._per_value = per_value
-        self._per_query = per_query
-
-    def insert(self, name, values, *, repartition_interval=None):
-        values = list(values)
-        with self._apply_lock:
-            if self._per_batch or self._per_value:
-                time.sleep(self._per_batch + self._per_value * len(values))
-            return super().insert(name, values, repartition_interval=repartition_interval)
-
-    def delete(self, name, values):
-        values = list(values)
-        with self._apply_lock:
-            if self._per_batch or self._per_value:
-                time.sleep(self._per_batch + self._per_value * len(values))
-            return super().delete(name, values)
-
-    def query(self, name, queries):
-        if self._per_query:
-            with self._serve_lock:
-                time.sleep(self._per_query)
-        return super().query(name, queries)
 
 
 def _create_catalog(coordinator: ClusterCoordinator, n_shards: int) -> None:
@@ -143,17 +75,10 @@ def _create_catalog(coordinator: ClusterCoordinator, n_shards: int) -> None:
     coordinator.create(HOT, "dc", memory_kb=0.5, partition_boundaries=boundaries)
 
 
-def build_cluster(
-    n_shards: int, *, emulate_apply: bool, emulate_serve: bool = False, metrics=None
-) -> ClusterCoordinator:
-    per_batch = APPLY_PER_BATCH_S if emulate_apply else 0.0
-    per_value = APPLY_PER_VALUE_S if emulate_apply else 0.0
-    per_query = SERVE_PER_QUERY_S if emulate_serve else 0.0
-    shards = [
-        LocalShard(f"shard-{index}", EmulatedApplyStore(per_batch, per_value, per_query))
-        for index in range(n_shards)
-    ]
-    coordinator = ClusterCoordinator(shards, global_buckets=64, metrics=metrics)
+def build_cluster(n_shards: int) -> ClusterCoordinator:
+    """In-process shards holding the catalog (the accuracy section's cluster)."""
+    shards = [LocalShard(f"shard-{index}") for index in range(n_shards)]
+    coordinator = ClusterCoordinator(shards, global_buckets=64)
     _create_catalog(coordinator, n_shards)
     return coordinator
 
@@ -202,17 +127,13 @@ def run_scaling_config(
     n_writers: int,
     n_readers: int,
     *,
-    factory=None,
+    factory,
 ) -> dict:
     """One scaling data point.  ``factory(n_shards) -> (coordinator, cleanup)``
-    overrides the default in-process cluster -- the spawned section passes
-    :func:`build_spawned_cluster` so the identical workload body runs
-    against real worker processes."""
-    if factory is None:
-        coordinator = build_cluster(n_shards, emulate_apply=False)
-        cleanup = None
-    else:
-        coordinator, cleanup = factory(n_shards)
+    builds the cluster; the spawned section and the matrix pass
+    :func:`build_spawned_cluster`, so the workload runs against real worker
+    processes."""
+    coordinator, cleanup = factory(n_shards)
     calls_per_writer = n_calls // n_writers
     values_per_call = len(ATTRIBUTE_MIX) * catalog_chunk + hot_chunk
     queries_served = [0] * n_readers
@@ -280,8 +201,7 @@ def run_scaling_config(
 
     ingested = calls_per_writer * n_writers * values_per_call
     _check_conservation(coordinator, ingested)
-    if cleanup is not None:
-        cleanup()
+    cleanup()
     return {
         "shards": n_shards,
         "ingested_values": ingested,
@@ -289,161 +209,6 @@ def run_scaling_config(
         "ingest_per_sec": round(ingested / elapsed, 1),
         "queries_served_during_ingest": int(sum(queries_served)),
         "queries_per_sec": round(sum(queries_served) / elapsed, 1),
-    }
-
-
-#: Offered ingest load for the read-QPS cells, values/sec across all writers.
-#: Fixed (writers pace themselves to it) rather than free-running: the cells
-#: compare read capacity at 1 vs 4 shards, and a free-running write side would
-#: ingest ~4x more at 4 shards -- stealing interpreter time from the readers
-#: and confounding the comparison.  16k/s is ~40% of one emulated apply
-#: engine, so the load is sustainable at every shard count under test.
-READ_BENCH_INGEST_PER_S = 16_000.0
-
-
-def run_read_qps_config(
-    n_shards: int,
-    duration_s: float,
-    n_writers: int,
-    n_readers: int,
-    catalog_chunk: int,
-    hot_chunk: int,
-    *,
-    target_ingest_per_sec: float = READ_BENCH_INGEST_PER_S,
-    metrics=None,
-) -> dict:
-    """Read QPS under sustained ingest: the lock-free read path at scale.
-
-    Duration-based (writers and readers both loop until the window closes):
-    writers sustain a fixed offered ingest load while readers tight-loop
-    estimate batches against the emulated serve engines.  The
-    serve lock is independent of the apply lock -- exactly the property the
-    published-snapshot read path buys -- so read capacity is N independent
-    ~5k QPS serve engines, and the measured quantity is whether the
-    coordinator keeps them all busy while ingest never stops.  A small slice
-    of reads (1 in 32) is a merged-histogram read of the hot partitioned
-    attribute, which exercises the coordinator's incremental merge
-    maintenance against a constantly moving generation vector without
-    letting the (deliberately expensive, serialised) merge rebuild drown
-    the serve-engine scaling signal this cell measures.
-    """
-    coordinator = build_cluster(
-        n_shards, emulate_apply=True, emulate_serve=True, metrics=metrics
-    )
-    rng = np.random.default_rng(11)
-    seeded = 0
-    for name, _ in ATTRIBUTE_MIX:
-        values = stream_values(rng, 2000)
-        coordinator.ingest(name, insert=values.tolist())
-        seeded += len(values)
-    hot_seed = stream_values(rng, 4000)
-    coordinator.ingest(HOT, insert=hot_seed.tolist())
-    seeded += len(hot_seed)
-
-    stop = threading.Event()
-    errors: list = []
-    written = [0] * n_writers
-    served = [0] * n_readers
-    per_call = len(ATTRIBUTE_MIX) * catalog_chunk + hot_chunk
-
-    # A small pre-generated pool per writer, cycled: the window measures the
-    # cluster's ingest+serve paths, not numpy sampling.
-    pools = []
-    for index in range(n_writers):
-        wrng = np.random.default_rng(1000 + index)
-        pool = []
-        for _ in range(8):
-            items = {
-                name: stream_values(wrng, catalog_chunk).tolist()
-                for name, _ in ATTRIBUTE_MIX
-            }
-            items[HOT] = stream_values(wrng, hot_chunk).tolist()
-            pool.append(items)
-        pools.append(pool)
-
-    # Each writer paces itself to its share of the offered load; falling
-    # behind resets the deadline instead of bursting to catch up.
-    call_interval = per_call / (target_ingest_per_sec / n_writers)
-
-    def writer(index: int) -> None:
-        calls = 0
-        try:
-            deadline = time.perf_counter()
-            while not stop.is_set():
-                coordinator.ingest_batch(pools[index][calls % len(pools[index])])
-                calls += 1
-                deadline += call_interval
-                delay = deadline - time.perf_counter()
-                if delay > 0:
-                    stop.wait(delay)
-                else:
-                    deadline = time.perf_counter()
-        except Exception as error:  # pragma: no cover - failure reporting
-            errors.append(error)
-        written[index] = calls * per_call
-
-    def reader(index: int) -> None:
-        rrng = np.random.default_rng(2000 + index)
-        lows = rrng.uniform(0.0, 4000.0, size=256)
-        count = 0
-        try:
-            while not stop.is_set():
-                if count % 32 == 31:
-                    coordinator.query(HOT, [{"op": "total"}])
-                else:
-                    name = ATTRIBUTE_MIX[(index + count) % len(ATTRIBUTE_MIX)][0]
-                    low = float(lows[count % len(lows)])
-                    coordinator.query(
-                        name,
-                        [{"op": "range", "low": low, "high": low + 500.0}, {"op": "total"}],
-                    )
-                count += 1
-        except Exception as error:  # pragma: no cover - failure reporting
-            errors.append(error)
-        served[index] = count
-
-    threads = [threading.Thread(target=writer, args=(i,)) for i in range(n_writers)]
-    threads += [threading.Thread(target=reader, args=(i,)) for i in range(n_readers)]
-    start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    time.sleep(duration_s)
-    stop.set()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - start
-    if errors:
-        raise AssertionError(f"read-qps run failed: {errors[0]!r}")
-
-    _check_conservation(coordinator, seeded + sum(written))
-    return {
-        "shards": n_shards,
-        "duration_s": round(elapsed, 3),
-        "reads_served": int(sum(served)),
-        "read_qps": round(sum(served) / elapsed, 1),
-        "ingested_values_during_window": int(sum(written)),
-        "ingest_per_sec": round(sum(written) / elapsed, 1),
-    }
-
-
-def bench_local_cpu_bound(n_calls: int, catalog_chunk: int, hot_chunk: int) -> dict:
-    """The same workload with zero emulated apply cost: pure-CPU shards."""
-    configs = {
-        str(n): run_scaling_config(n, n_calls, catalog_chunk, hot_chunk, 3, 1)
-        for n in (1, 4)
-    }
-    return {
-        "per_shard_count": configs,
-        "scaling_4_vs_1": round(
-            configs["4"]["ingest_per_sec"] / configs["1"]["ingest_per_sec"], 2
-        ),
-        "note": (
-            "in-process shards share one Python interpreter: the coordinator "
-            "runs their legs one after another, and CPU-bound ingest cannot "
-            "scale with shard count on any core count (the GIL serialises it); "
-            "real CPU scaling needs process isolation on multi-core hosts (see "
-            "the spawned_process_shards section)"
-        ),
     }
 
 
@@ -503,7 +268,7 @@ def bench_merged_accuracy(n_values: int, n_queries: int) -> dict:
     rng = np.random.default_rng(42)
     values = stream_values(rng, n_values)
 
-    coordinator = build_cluster(4, emulate_apply=False)
+    coordinator = build_cluster(4)
     coordinator.ingest(HOT, insert=values.tolist())
 
     reference = HistogramStore()
@@ -573,7 +338,6 @@ def main(argv=None) -> int:
         "python": sys.version.split()[0],
         "host_cpu_count": os.cpu_count() or 1,
         "sections": {
-            "local_cpu_bound": bench_local_cpu_bound(cpu_calls, catalog_chunk, hot_chunk),
             "spawned_process_shards": bench_spawned_cpu_bound(
                 cpu_calls, catalog_chunk, hot_chunk
             ),

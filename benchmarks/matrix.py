@@ -19,15 +19,13 @@ and records throughput plus latency quantiles pulled from the cell's own
 * ``read_locked_single`` / ``read_published_single`` -- single-node read
   ablation under sustained ingest: the pre-RCU locked read (the batch
   evaluated under the attribute lock, spelled out in this file) vs the
-  lock-free published-snapshot path on one store;
-* ``read_qps_shards_1`` / ``read_qps_shards_4`` -- read QPS under ingest
-  through the coordinator over the emulated per-shard serve engines.
+  lock-free published-snapshot path on one store.
 
 The emitted JSON (one file per host) is **schema-versioned** and stamped
 with a host fingerprint (python version, numpy version, CPU count); derived
 ratios (``wal_overhead``, ``fsync_overhead``, ``batch_scaling``,
-``spawned_scaling``, ``read_unlock_speedup``, ``read_scaling``) make the
-ablation readable at a glance.
+``spawned_scaling``, ``read_unlock_speedup``) make the ablation readable at
+a glance.
 
 ``--gate`` diffs the current run against the committed baseline for this
 host's fingerprint (``benchmarks/baselines/<fingerprint>.json``) within
@@ -339,31 +337,6 @@ def run_store_read_cell(config: dict, sizes: dict) -> dict:
     }
 
 
-def run_cluster_read_cell(config: dict, sizes: dict) -> dict:
-    """The bench_cluster read-QPS-under-ingest body (knob: shard count)."""
-    registry = MetricsRegistry()
-    result = bench_cluster.run_read_qps_config(
-        config["shards"],
-        sizes["read_duration_s"],
-        sizes["read_writers"],
-        sizes["read_readers"],
-        sizes["catalog_chunk"],
-        sizes["hot_chunk"],
-        metrics=registry,
-    )
-    quantiles = _quantile_block(registry, "repro_cluster_fanout_seconds", shard="shard-0")
-    return {
-        "ops_per_sec": result["read_qps"],
-        **quantiles,
-        "detail": {
-            "shards": config["shards"],
-            "reads_served": result["reads_served"],
-            "ingest_per_sec_during_window": result["ingest_per_sec"],
-            "duration_s": result["duration_s"],
-        },
-    }
-
-
 #: The ablation matrix: cell name -> (runner kind, config).  Each config dict
 #: flips exactly one knob relative to that kind's base cell.
 CELLS: dict[str, dict[str, Any]] = {
@@ -379,8 +352,6 @@ CELLS: dict[str, dict[str, Any]] = {
     "spawned_shards_4": {"kind": "cluster_spawned", "shards": 4},
     "read_locked_single": {"kind": "store_read", "read_path": "locked"},
     "read_published_single": {"kind": "store_read", "read_path": "published"},
-    "read_qps_shards_1": {"kind": "cluster_read", "shards": 1},
-    "read_qps_shards_4": {"kind": "cluster_read", "shards": 4},
 }
 
 RUNNERS: dict[str, Callable[[dict, dict], dict]] = {
@@ -388,7 +359,6 @@ RUNNERS: dict[str, Callable[[dict, dict], dict]] = {
     "service": run_service_cell,
     "cluster_spawned": run_cluster_spawned_cell,
     "store_read": run_store_read_cell,
-    "cluster_read": run_cluster_read_cell,
 }
 
 #: Derived ratios: name -> (numerator cell, denominator cell).  Each reads
@@ -399,7 +369,6 @@ DERIVED: dict[str, tuple[str, str]] = {
     "batch_scaling_1024_vs_64": ("wal_off", "batch_64"),
     "spawned_scaling_4_vs_1": ("spawned_shards_4", "spawned_shards_1"),
     "read_unlock_speedup": ("read_published_single", "read_locked_single"),
-    "read_scaling_4_vs_1": ("read_qps_shards_4", "read_qps_shards_1"),
 }
 
 
@@ -416,8 +385,6 @@ def matrix_sizes(smoke: bool) -> dict[str, float]:
             "repeats": 2,
             "read_duration_s": 0.5,
             "read_write_chunk": 4_000,
-            "read_writers": 2,
-            "read_readers": 4,
         }
     return {
         "hist_values": 80_000,
@@ -430,8 +397,6 @@ def matrix_sizes(smoke: bool) -> dict[str, float]:
         "repeats": 3,
         "read_duration_s": 1.5,
         "read_write_chunk": 4_000,
-        "read_writers": 2,
-        "read_readers": 8,
     }
 
 

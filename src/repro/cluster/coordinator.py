@@ -11,12 +11,15 @@ home shard; writes for a range-partitioned attribute are split per value
 fan-out names its legs as ``{shard_id: (op, args)}``, the shape the wire
 carries: legs to spawned worker processes are pipelined (every request frame
 is written before any reply is read), and legs to in-process shards run one
-after another on the calling thread.  :meth:`ingest_batch` groups a whole
-multi-attribute batch by shard first, so each shard receives exactly one
-``ingest_many`` stream, in rounds of at most :data:`INGEST_LEG_VALUES`
-values.  Per-shard application is independent: a failing piece never rolls
-back the others (the same partial-apply semantics as the service layer; the
-error names the failing shard).
+after another on the calling thread.  Every value write -- :meth:`ingest`,
+:meth:`ingest_batch` and the buffer replays of rebalance and resync -- takes
+one path: the batch is grouped by shard first, so each shard receives
+exactly one ``ingest_many`` stream, in rounds of at most
+:data:`INGEST_LEG_VALUES` values, through the one replicated fan-out
+(:meth:`ClusterCoordinator._fan_out_replicated`) that also carries
+``create`` and ``restore``.  Per-shard application is independent: a
+failing piece never rolls back the others (the same partial-apply semantics
+as the service layer; the error names the failing shard).
 
 **Merged global estimates.**  Queries against a partitioned attribute cannot
 be answered by any one shard.  The coordinator rebuilds the paper's Section 8
@@ -38,20 +41,22 @@ property suite asserts this, incremental refresh included).
 **Rebalance / drain.**  :meth:`rebalance` moves an attribute between shards
 via snapshot/restore without losing writes: writes arriving during the copy
 are buffered at the coordinator, replayed onto the target, and the routing
-override flips atomically with the final drain, so every buffered operation
-lands exactly once.  :meth:`drain` empties a shard by rebalancing every
-attribute homed there onto the surviving members (ring walk with the drained
-shard excluded).
+override flips atomically with the final drain, so every buffered write
+lands exactly once.  If the move fails, every buffered write is replayed
+onto the source instead.  :meth:`drain` empties a shard by rebalancing
+every attribute homed there onto the surviving members (ring walk with the
+drained shard excluded).
 
 **Replication / failover / resync.**  With a router built with
 ``replication_factor=N``, every attribute (and every piece of a partitioned
 attribute) lives on N distinct shards.  Writes fan out to all replicas; a
 write succeeds as long as *one* replica of each touched group applies it,
 and a replica that fails (before or after applying -- its fate is unknown)
-is only **marked stale**, never retried: retrying a write whose fate is
-unknown could double-apply it, while a stale replica is healed wholesale by
-:meth:`resync` (snapshot from a live replica, restore over the stale one --
-a full-state replace, immune to double-apply by construction).  Reads try
+is only **marked stale** by the fan-out's one sweep, never retried:
+retrying a write whose fate is unknown could double-apply it, while a stale
+replica is healed wholesale by :meth:`resync` (snapshot from a live replica,
+restore over the stale one -- a full-state replace, immune to double-apply
+by construction).  Reads try
 the primary first and fail over to the next live, non-stale replica on
 :class:`~repro.exceptions.ShardUnavailableError`.  With
 ``replica_reads=True`` the coordinator instead *rotates* estimate reads
@@ -63,6 +68,7 @@ last-resort exactly as in failover.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 import time
@@ -90,8 +96,10 @@ __all__ = ["ClusterCoordinator", "DEFAULT_GLOBAL_BUCKETS"]
 DEFAULT_GLOBAL_BUCKETS = 64
 
 #: Values one ``ingest_many`` leg carries at most (an attribute is never
-#: split), so a leg stays inside one call's timeout: DVO/DADO deletes cost up
-#: to ~300 us a value, about a second for a full leg.
+#: split), so a leg stays inside one call's timeout.  A full leg through the
+#: binary transport onto 20,000 held values, on a 2-core host: 24-127 ms of
+#: inserts (DVO slowest, ~25 us a value), 6-199 ms of deletes (DVO/DADO
+#: 1.5-11 us a value; DC deletes that empty the lowest buckets, ~40 us).
 INGEST_LEG_VALUES = 4096
 
 
@@ -155,12 +163,12 @@ class ClusterCoordinator:
         ] = {}
         self._merge_locks: dict[str, threading.Lock] = {}
         self._merge_guard = threading.Lock()
-        # In-flight rebalances: name -> buffered (op, values) runs, plus a
-        # count of applies currently running per attribute.  The condition's
-        # lock guards both tables; rebalance registers a move and then waits
+        # In-flight moves: name -> buffered (insert, delete) writes, in
+        # arrival order, plus a count of applies currently running per
+        # attribute.  The condition's lock guards both tables; a move waits
         # for the attribute's in-flight applies to drain before snapshotting,
         # so an apply that passed the move check always lands in the snapshot.
-        self._moves: dict[str, list[tuple[str, list[float]]]] = {}
+        self._moves: dict[str, list[tuple[list[float], list[float]]]] = {}
         self._inflight: dict[str, int] = {}
         self._moves_cv = threading.Condition()
         # Replicas that missed a write (the fan-out observed a failure whose
@@ -388,83 +396,69 @@ class ClusterCoordinator:
 
     def _fan_out_replicated(
         self,
-        name: str,
-        groups: Sequence[tuple[tuple[str, ...], tuple[str, dict[str, Any]]]],
+        groups: Sequence[tuple[str, tuple[str, ...]]],
+        streams: Mapping[str, Sequence[tuple[str, dict[str, Any]]]],
         *,
         failure_types: tuple[type, ...] = (ShardUnavailableError,),
-    ) -> dict[str, Any]:
-        """Send a group's ``(op, args)`` leg to every replica of every group.
+    ) -> tuple[dict[str, list[Any]], list[tuple[str, str]]]:
+        """Send each replica its stream of ``(op, args)`` legs, one leg per round.
 
-        ``groups`` holds ``(replica_ids, leg)`` pairs.  The shared
-        replicated-mutation contract (writes, create, restore): per group,
-        success needs at least one replica to apply; a fully-failed group
-        raises its first error -- but only after EVERY other group's partial
-        failures were marked, or a replica that silently missed this
-        mutation would be treated as fresh forever.  A replica that fails
-        (``failure_types``) while a sibling succeeds is marked stale for
-        ``resync`` to heal and never retried: its fate is unknown, and a
-        blind retry could double-apply.  Errors outside ``failure_types``
-        (a duplicate create, a bad payload) are the same on every replica
-        and propagate immediately.
+        ``groups`` holds ``(name, replica_ids)`` pairs; ``streams`` each
+        replica's legs.  The one replicated-mutation contract (value writes,
+        create, restore): per group, success needs one replica to finish its
+        stream; a fully-failed group raises its first error -- but only after
+        EVERY other group's partial failures were marked, or a replica that
+        silently missed this mutation would be treated as fresh forever.  A
+        replica that fails (``failure_types``) is sent no further rounds and
+        is marked stale for ``resync`` to heal, never retried: its fate is
+        unknown, and a blind retry could double-apply.  Other errors (a
+        duplicate create, a bad payload) are the same on every replica and
+        propagate at once.  Returns the per-leg results of every shard that
+        finished its stream, and the ``(name, shard_id)`` pairs marked stale.
         """
-        results, errors = self._scatter_tolerant(
-            {shard_id: leg for replicas, leg in groups for shard_id in replicas},
-            failure_types=failure_types,
-        )
-        failed: list[str] = []
+        results: dict[str, list[Any]] = {shard_id: [] for shard_id in streams}
+        errors: dict[str, Exception] = {}
+        for round_index in range(max(map(len, streams.values()), default=0)):
+            round_results, round_errors = self._scatter_tolerant(
+                {
+                    shard_id: legs[round_index]
+                    for shard_id, legs in streams.items()
+                    if round_index < len(legs) and shard_id not in errors
+                },
+                failure_types=failure_types,
+            )
+            errors.update(round_errors)
+            for shard_id, result in round_results.items():
+                results[shard_id].append(result)
+        failed: list[tuple[str, str]] = []
         fully_failed: Exception | None = None
-        for replicas, _ in groups:
-            if not any(sid in results for sid in replicas):
-                # Nothing applied in this group -- its replicas still agree,
-                # so there is nothing to mark; the mutation is lost and raises.
+        for name, replicas in groups:
+            if all(shard_id in errors for shard_id in replicas):
+                # No replica finished: the mutation fails and raises, and
+                # there is no fresh sibling to mark the others against.
                 if fully_failed is None:
                     fully_failed = errors[replicas[0]]
                 continue
             for shard_id in replicas:
                 if shard_id in errors:
                     self._mark_stale(name, shard_id)
-                    failed.append(shard_id)
+                    failed.append((name, shard_id))
         if fully_failed is not None:
             raise fully_failed
-        return {"results": results, "failed_replicas": sorted(failed)}
-
-    def _first_result(self, applied: Mapping[str, Any], replicas: Sequence[str]):
-        """The first replica's result in preference order (primary first)."""
-        results = applied["results"]
-        return results[next(sid for sid in replicas if sid in results)]
-
-    def _apply_replicated(
-        self,
-        name: str,
-        groups: Sequence[tuple[tuple[str, ...], list[float], list[float]]],
-    ) -> dict[str, Any]:
-        """Fan one attribute's write out to every replica of every group.
-
-        ``groups`` holds ``(replica_ids, insert, delete)`` triples (one
-        group for an unpartitioned attribute, one per piece otherwise).
-        ``UnknownAttributeError`` counts as a replica failure: a replica
-        that was down during ``create`` does not know the attribute, and
-        marking it stale routes it to ``resync`` (whose restore re-creates
-        it) instead of poisoning every subsequent write.  When *no* replica
-        knows the attribute, the group fully fails and the error still
-        propagates as before.
-        """
-        return self._fan_out_replicated(
-            name,
-            [
-                (replicas, ("ingest", {"name": name, "insert": insert, "delete": delete}))
-                for replicas, insert, delete in groups
-            ],
-            failure_types=(ShardUnavailableError, UnknownAttributeError),
-        )
+        return {sid: legs for sid, legs in results.items() if sid not in errors}, failed
 
     def _write_groups(
-        self, name: str, insert: list[float], delete: list[float]
+        self,
+        name: str,
+        insert: list[float],
+        delete: list[float],
+        replicas: tuple[str, ...] | None = None,
     ) -> list[tuple[tuple[str, ...], list[float], list[float]]]:
-        """Split a write into replica groups (one, or one per touched piece)."""
+        """Split a write into replica groups (one, or one per touched piece);
+        ``replicas`` overrides an unpartitioned attribute's routed set."""
         partition = self._router.partition_for(name)
         if partition is None:
-            return [(self._router.replicas_for(name), insert, delete)]
+            return [(replicas or self._router.replicas_for(name), insert, delete)]
         insert_groups = partition.split(insert)
         delete_groups = partition.split(delete)
         piece_replicas = self._router.partition_replicas(name)
@@ -476,6 +470,49 @@ class ClusterCoordinator:
             )
             for piece_id in sorted(set(insert_groups) | set(delete_groups))
         ]
+
+    def _write(
+        self,
+        writes: Mapping[str, tuple[list[float], list[float]]],
+        replicas: tuple[str, ...] | None = None,
+    ) -> tuple[dict[str, dict[str, int]], list[tuple[str, str]]]:
+        """Apply ``{name: (insert, delete)}`` writes as one ``ingest_many``
+        stream per shard, in rounds of at most :data:`INGEST_LEG_VALUES` values.
+
+        ``UnknownAttributeError`` counts as a replica failure: a replica that
+        was down during ``create`` does not know the attribute, and marking
+        it stale routes it to ``resync`` (whose restore re-creates it)
+        instead of poisoning every later write.  Returns the summed counts of
+        each shard that finished its stream, and the stale-marked pairs.
+        """
+        groups: list[tuple[str, tuple[str, ...]]] = []
+        per_shard: dict[str, dict[str, dict[str, list[float]]]] = {}
+        for name, (insert, delete) in writes.items():
+            for group_replicas, group_insert, group_delete in self._write_groups(
+                name, insert, delete, replicas
+            ):
+                groups.append((name, group_replicas))
+                for shard_id in group_replicas:
+                    per_shard.setdefault(shard_id, {})[name] = {
+                        "insert": group_insert,
+                        "delete": group_delete,
+                    }
+        results, failed = self._fan_out_replicated(
+            groups,
+            {
+                shard_id: [("ingest_many", {"items": leg}) for leg in _stream_legs(items)]
+                for shard_id, items in sorted(per_shard.items())
+            },
+            failure_types=(ShardUnavailableError, UnknownAttributeError),
+        )
+        counts = {
+            shard_id: {
+                "inserted": sum(result["inserted"] for result in legs),
+                "deleted": sum(result["deleted"] for result in legs),
+            }
+            for shard_id, legs in results.items()
+        }
+        return counts, failed
 
     # ------------------------------------------------------------------
     # registry
@@ -522,27 +559,30 @@ class ClusterCoordinator:
             # replica creating suffices; an unreachable replica is marked
             # stale so resync re-seeds it -- its missing attribute is then a
             # recorded gap, not a silent one that poisons later writes.
-            created = self._fan_out_replicated(name, [(replicas, create_leg)])
+            created, failed = self._fan_out_replicated(
+                [(name, replicas)], {shard_id: [create_leg] for shard_id in replicas}
+            )
             result = {
                 "name": name,
                 "partitioned": False,
                 "shard": replicas[0],
-                "stats": self._first_result(created, replicas),
+                "stats": _first_result(created, replicas),
             }
             if len(replicas) > 1:
                 result["replicas"] = list(replicas)
-            if created["failed_replicas"]:
-                result["failed_replicas"] = created["failed_replicas"]
+            if failed:
+                result["failed_replicas"] = sorted(shard_id for _, shard_id in failed)
             return result
 
         partition = self._router.partition(name, partition_boundaries, partition_shards)
         try:
             piece_replicas = self._router.partition_replicas(name)
-            created = self._fan_out_replicated(
-                name, [(ids, create_leg) for ids in piece_replicas.values()]
+            created, failed = self._fan_out_replicated(
+                [(name, ids) for ids in piece_replicas.values()],
+                {shard_id: [create_leg] for ids in piece_replicas.values() for shard_id in ids},
             )
             pieces = {
-                piece_id: self._first_result(created, ids)
+                piece_id: _first_result(created, ids)
                 for piece_id, ids in piece_replicas.items()
             }
         except Exception:
@@ -561,8 +601,8 @@ class ClusterCoordinator:
             result["replicas"] = {
                 piece_id: list(ids) for piece_id, ids in piece_replicas.items()
             }
-        if created["failed_replicas"]:
-            result["failed_replicas"] = created["failed_replicas"]
+        if failed:
+            result["failed_replicas"] = sorted(shard_id for _, shard_id in failed)
         return result
 
     def drop(self, name: str) -> dict[str, Any]:
@@ -633,7 +673,8 @@ class ClusterCoordinator:
     def ingest(
         self, name: str, insert: Sequence[float] = (), delete: Sequence[float] = ()
     ) -> dict[str, Any]:
-        """Apply a write batch, scattering partitioned attributes per value."""
+        """Apply one attribute's write batch: :meth:`ingest_batch`'s path for
+        one attribute, with ``failed_replicas`` naming shards, not pairs."""
         insert = list(insert)
         delete = list(delete)
         if not self._begin_apply(name, insert, delete):
@@ -643,23 +684,25 @@ class ClusterCoordinator:
                 "deleted": len(delete),
             }
         try:
-            groups = self._write_groups(name, insert, delete)
-            applied = self._apply_replicated(name, groups)
-            response = {
-                "inserted": len(insert),
-                "deleted": len(delete),
-                "per_shard": {
-                    shard_id: result.get("inserted", 0)
-                    for shard_id, result in applied["results"].items()
-                },
-            }
-            if self._router.is_partitioned(name):
-                response["partitioned"] = True
-            if applied["failed_replicas"]:
-                response["failed_replicas"] = applied["failed_replicas"]
-            return response
+            if not insert and not delete and not self._router.is_partitioned(name):
+                # An empty write touches no store, so only an explicit check
+                # tells an unknown attribute from an idle one.
+                self._call_with_failover(
+                    name, self._router.replicas_for(name), "generation", {"name": name}
+                )
+            counts, failed = self._write({name: (insert, delete)})
         finally:
             self._end_apply(name)
+        response = {
+            "inserted": len(insert),
+            "deleted": len(delete),
+            "per_shard": {shard_id: count["inserted"] for shard_id, count in counts.items()},
+        }
+        if self._router.is_partitioned(name):
+            response["partitioned"] = True
+        if failed:
+            response["failed_replicas"] = sorted(shard_id for _, shard_id in failed)
+        return response
 
     def ingest_batch(self, items: Mapping[str, Any]) -> dict[str, Any]:
         """Fan a multi-attribute write batch out: one ``ingest_many`` stream per shard.
@@ -672,13 +715,11 @@ class ClusterCoordinator:
         at its first failure; the shard applies an attribute's inserts before
         its deletes, and the delete side rides the store's vectorised
         ``delete_many`` path.  A longer stream than
-        :data:`INGEST_LEG_VALUES` values goes out in several rounds.
+        :data:`INGEST_LEG_VALUES` values goes out in several rounds.  A
+        failing shard's whole stream is suspect: ``failed_replicas`` lists
+        every ``name@shard`` it carried, each marked stale.
         """
-        per_shard: dict[str, dict[str, dict[str, list[float]]]] = {}
-        # One entry per replica group: (name, replica ids, insert, delete);
-        # success needs >= 1 live replica per group.
-        group_index: list[tuple[str, tuple[str, ...], list[float], list[float]]] = []
-        applying: list[str] = []
+        writes: dict[str, tuple[list[float], list[float]]] = {}
         buffered = 0
         buffered_deletes = 0
         try:
@@ -695,81 +736,27 @@ class ClusterCoordinator:
                     buffered += len(insert)
                     buffered_deletes += len(delete)
                     continue
-                applying.append(name)
-                for replicas, group_insert, group_delete in self._write_groups(
-                    name, insert, delete
-                ):
-                    group_index.append((name, replicas, group_insert, group_delete))
-                    for shard_id in replicas:
-                        per_shard.setdefault(shard_id, {})[name] = {
-                            "insert": group_insert,
-                            "delete": group_delete,
-                        }
-
-            # A failing shard's whole stream is suspect: some attributes in
-            # its group may have applied before the failure, so every one of
-            # them is conservatively marked stale below (resync heals by
-            # full-state replace), and its later rounds are not sent.
-            streams = {
-                shard_id: _stream_legs(per_shard[shard_id]) for shard_id in sorted(per_shard)
-            }
-            gathered: dict[str, dict[str, int]] = {}
-            shard_errors: dict[str, Exception] = {}
-            for round_index in range(max(map(len, streams.values()), default=0)):
-                results, errors = self._scatter_tolerant(
-                    {
-                        shard_id: ("ingest_many", {"items": legs[round_index]})
-                        for shard_id, legs in streams.items()
-                        if round_index < len(legs) and shard_id not in shard_errors
-                    },
-                    failure_types=(ShardUnavailableError, UnknownAttributeError),
-                )
-                shard_errors.update(errors)
-                for shard_id, result in results.items():
-                    counts = gathered.setdefault(shard_id, {"inserted": 0, "deleted": 0})
-                    counts["inserted"] += result["inserted"]
-                    counts["deleted"] += result["deleted"]
-            for shard_id in shard_errors:
-                gathered.pop(shard_id, None)
-            failed_replicas: list[str] = []
-            # As in _fan_out_replicated: finish the stale-marking sweep over
-            # every group before raising for a fully-failed one.
-            fully_failed: Exception | None = None
-            for name, replicas, _, _ in group_index:
-                alive = [sid for sid in replicas if sid not in shard_errors]
-                if not alive:
-                    if fully_failed is None:
-                        fully_failed = shard_errors[replicas[0]]
-                    continue
-                for shard_id in replicas:
-                    if shard_id in shard_errors:
-                        self._mark_stale(name, shard_id)
-                        failed_replicas.append(f"{name}@{shard_id}")
-            if fully_failed is not None:
-                raise fully_failed
+                writes[name] = (insert, delete)
+            counts, failed = self._write(writes)
         finally:
-            for name in applying:
+            for name in writes:
                 self._end_apply(name)
         # Logical counts come from the submitted values (each group that
         # reached here has >= 1 replica apply); ``per_shard`` keeps its
         # historical meaning of values physically placed per shard -- with
         # replication a value lands on every replica, so the per-shard sum
         # exceeds ``inserted`` by design.
-        logical_inserted = sum(len(insert) for _, _, insert, _ in group_index)
-        logical_deleted = sum(len(delete) for _, _, _, delete in group_index)
         response = {
-            "inserted": logical_inserted + buffered,
-            "deleted": logical_deleted + buffered_deletes,
+            "inserted": sum(len(insert) for insert, _ in writes.values()) + buffered,
+            "deleted": sum(len(delete) for _, delete in writes.values()) + buffered_deletes,
             "buffered_for_move": buffered + buffered_deletes,
-            "per_shard": {
-                shard_id: result["inserted"] for shard_id, result in gathered.items()
-            },
+            "per_shard": {shard_id: count["inserted"] for shard_id, count in counts.items()},
             "per_shard_deleted": {
-                shard_id: result["deleted"] for shard_id, result in gathered.items()
+                shard_id: count["deleted"] for shard_id, count in counts.items()
             },
         }
-        if failed_replicas:
-            response["failed_replicas"] = sorted(failed_replicas)
+        if failed:
+            response["failed_replicas"] = sorted(f"{name}@{shard_id}" for name, shard_id in failed)
         return response
 
     # ------------------------------------------------------------------
@@ -1000,10 +987,11 @@ class ClusterCoordinator:
                 f"attribute {name!r} is range-partitioned; restore its pieces per shard"
             )
         replicas = self._router.replicas_for(name)
-        restored = self._fan_out_replicated(
-            name, [(replicas, ("restore", {"name": name, "snapshot": dict(snapshot)}))]
+        restore_leg = ("restore", {"name": name, "snapshot": dict(snapshot)})
+        restored, _ = self._fan_out_replicated(
+            [(name, replicas)], {shard_id: [restore_leg] for shard_id in replicas}
         )
-        return self._first_result(restored, replicas)
+        return _first_result(restored, replicas)
 
     # ------------------------------------------------------------------
     # rebalance / drain
@@ -1019,10 +1007,8 @@ class ClusterCoordinator:
         with self._moves_cv:
             buffer = self._moves.get(name)
             if buffer is not None:
-                if insert:
-                    buffer.append(("insert", list(insert)))
-                if delete:
-                    buffer.append(("delete", list(delete)))
+                if insert or delete:
+                    buffer.append((list(insert), list(delete)))
                 return False
             self._inflight[name] = self._inflight.get(name, 0) + 1
             return True
@@ -1036,39 +1022,41 @@ class ClusterCoordinator:
                 self._inflight.pop(name, None)
                 self._moves_cv.notify_all()
 
-    def _replay_buffer_best_effort(
-        self, name: str, buffered: list[tuple[str, list[float]]]
-    ) -> int:
-        """Failure-path compensation: replay formerly-buffered ops through
-        the public write path, attempting EVERY op -- one op whose replica
-        group is momentarily unreachable must not discard the acknowledged
-        ops queued behind it.  An op that still fails is dropped (bounded
-        undercount beats double-applying an op whose fate is unknown -- the
-        ingest pipeline's rule); the count of dropped ops is returned.
+    def _begin_move(self, name: str) -> None:
+        """Register a move: from here ``name``'s cluster writes buffer.
+
+        Fence: applies that slipped past the move check must reach the
+        source before the snapshot, or their values would be neither in the
+        copy nor in the buffer, so this waits for them to drain.
         """
+        with self._moves_cv:
+            if name in self._moves:
+                raise ClusterError(f"attribute {name!r} is already being moved")
+            self._moves[name] = []
+            while self._inflight.get(name, 0) > 0:
+                self._moves_cv.wait()
+
+    def _abort_move(self, name: str) -> None:
+        """Failure-path compensation: unregister the move and replay its
+        buffered writes through the public write path -- routing never
+        flipped, so they land on the current home and fence against any
+        later move.  EVERY write is attempted: one whose replica group is
+        momentarily unreachable must not discard the acknowledged writes
+        queued behind it.  A write that still fails is dropped and counted
+        (bounded undercount beats double-applying a write whose fate is
+        unknown -- the ingest pipeline's rule).
+        """
+        with self._moves_cv:
+            buffered = self._moves.pop(name, [])
         dropped = 0
-        for op, values in buffered:
+        for insert, delete in buffered:
             try:
-                if op == "insert":
-                    self.ingest(name, insert=values)
-                else:
-                    self.ingest(name, delete=values)
+                self.ingest(name, insert=insert, delete=delete)
             except Exception:
                 dropped += 1
         if dropped:
             with self._stale_lock:
                 self._dropped_buffered_ops += dropped
-        return dropped
-
-    def _replay(self, shard: ShardBackend, name: str, runs: list[tuple[str, list[float]]]) -> int:
-        applied = 0
-        for op, values in runs:
-            if op == "insert":
-                shard.ingest(name, insert=values)
-            else:
-                shard.ingest(name, delete=values)
-            applied += len(values)
-        return applied
 
     def rebalance(self, name: str, target_shard_id: str) -> dict[str, Any]:
         """Move an unpartitioned attribute to ``target_shard_id``.
@@ -1089,7 +1077,10 @@ class ClusterCoordinator:
         4. drop the attribute from the source.
 
         On failure the buffered writes are replayed onto the source (still
-        the routed home) before the error propagates.
+        the routed home) and the target's copy is dropped, best effort,
+        before the error propagates.  A replay pass that fails on the target
+        goes back to the front of the buffer whole: the abandoned target is
+        the only shard that saw any of it.
         """
         target = self.shard(target_shard_id)
         if self._router.replication_factor > 1:
@@ -1106,15 +1097,7 @@ class ClusterCoordinator:
         if source_id == target_shard_id:
             return {"attribute": name, "from": source_id, "to": target_shard_id, "moved": False}
         source = self.shard(source_id)
-        with self._moves_cv:
-            if name in self._moves:
-                raise ClusterError(f"attribute {name!r} is already being moved")
-            self._moves[name] = []
-            # Fence: applies that slipped past the move check must reach the
-            # source before the snapshot, or their values would be neither in
-            # the copy nor in the buffer.
-            while self._inflight.get(name, 0) > 0:
-                self._moves_cv.wait()
+        self._begin_move(name)
         replayed = 0
         try:
             snapshot = source.snapshot(name)
@@ -1129,13 +1112,18 @@ class ClusterCoordinator:
                         del self._moves[name]
                         break
                     self._moves[name] = []
-                replayed += self._replay(target, name, buffered)
+                try:
+                    for write in buffered:
+                        self._write({name: write}, (target_shard_id,))
+                except Exception:
+                    with self._moves_cv:
+                        self._moves[name] = buffered + self._moves[name]
+                    raise
+                replayed += sum(len(insert) + len(delete) for insert, delete in buffered)
         except Exception:
-            with self._moves_cv:
-                buffered = self._moves.pop(name, [])
-            # The source is still the routed home; put buffered writes back
-            # through the public path so they fence against any later move.
-            self._replay_buffer_best_effort(name, buffered)
+            self._abort_move(name)
+            with contextlib.suppress(ShardUnavailableError, UnknownAttributeError):
+                target.drop(name)
             raise
         source.drop(name)
         return {
@@ -1193,12 +1181,7 @@ class ClusterCoordinator:
         """
         sources = tuple(sid for sid in replicas if sid != target_id)
         assert sources, "resync needs a second replica to copy from"
-        with self._moves_cv:
-            if name in self._moves:
-                raise ClusterError(f"attribute {name!r} is already being moved")
-            self._moves[name] = []
-            while self._inflight.get(name, 0) > 0:
-                self._moves_cv.wait()
+        self._begin_move(name)
         try:
             source_id, snapshot = self._call_with_failover(
                 name, sources, "snapshot", {"name": name}
@@ -1224,21 +1207,16 @@ class ClusterCoordinator:
                         del self._moves[name]
                         break
                     self._moves[name] = []
-                for index, (op, values) in enumerate(buffered):
+                for index, write in enumerate(buffered):
                     try:
-                        groups = self._write_groups(
-                            name,
-                            values if op == "insert" else [],
-                            values if op == "delete" else [],
-                        )
-                        self._apply_replicated(name, groups)
+                        self._write({name: write})
                     except Exception:
                         # Push the known-unapplied tail back into the move
                         # buffer so the outer handler replays it -- these
-                        # ops were already acknowledged to their writers.
-                        # The failing op itself is dropped: its progress is
-                        # unknown (some piece groups may have applied), and
-                        # a bounded undercount beats double-applying -- the
+                        # writes were already acknowledged.  The failing
+                        # write itself is dropped: its progress is unknown
+                        # (some piece groups may have applied), and a
+                        # bounded undercount beats double-applying -- the
                         # same rule the ingest pipeline follows.  The drop
                         # is counted so stats() surfaces it.
                         with self._moves_cv:
@@ -1249,11 +1227,7 @@ class ClusterCoordinator:
                             self._dropped_buffered_ops += 1
                         raise
         except Exception:
-            with self._moves_cv:
-                buffered = self._moves.pop(name, [])
-            # Nothing routed away: replay the buffer through the public path
-            # so it fences against any later move/resync.
-            self._replay_buffer_best_effort(name, buffered)
+            self._abort_move(name)
             raise
         return source_id
 
@@ -1375,3 +1349,8 @@ def _stream_legs(items: Mapping[str, Mapping[str, list[float]]]) -> list[dict[st
         legs[-1][name] = values
         size += count
     return legs
+
+
+def _first_result(results: Mapping[str, list[Any]], replicas: Sequence[str]) -> Any:
+    """The first replica's single-leg result in preference order (primary first)."""
+    return results[next(sid for sid in replicas if sid in results)][0]

@@ -3,8 +3,10 @@
 The cluster coordinator talks to every backing shard through
 :class:`ShardBackend` -- a small, JSON-shaped protocol (every method takes
 keyword-passable JSON values and returns plain dictionaries, so a call is
-exactly one ``(op, args)`` request on the wire).  Two implementations cover
-the deployment spectrum:
+exactly one ``(op, args)`` request on the wire).  Values reach a shard one
+way: :meth:`ShardBackend.ingest_many`, an ordered stream of per-attribute
+inserts and deletes that stops at its first failure.  Two implementations
+cover the deployment spectrum:
 
 * :class:`LocalShard` wraps an in-process
   :class:`~repro.service.store.HistogramStore` -- zero serialisation, used by
@@ -32,7 +34,7 @@ __all__ = ["ShardBackend", "LocalShard", "WRITE_OPS"]
 
 #: The ops that mutate a shard (each one appends a WAL record on a durable
 #: store); every other op only reads.
-WRITE_OPS = frozenset({"create", "drop", "ingest", "ingest_many", "restore"})
+WRITE_OPS = frozenset({"create", "drop", "ingest_many", "restore"})
 
 
 class ShardBackend(abc.ABC):
@@ -68,27 +70,15 @@ class ShardBackend(abc.ABC):
 
     # -- writes ---------------------------------------------------------
     @abc.abstractmethod
-    def ingest(
-        self, name: str, insert: Sequence[float] = (), delete: Sequence[float] = ()
-    ) -> dict[str, Any]:
-        """Apply a batch of inserts then deletes; returns counts + generation."""
-
     def ingest_many(self, items: Mapping[str, Mapping[str, Sequence[float]]]) -> dict[str, int]:
         """Apply several attributes' batches in order; returns summed counts.
 
         ``items`` maps each attribute name to its ``insert`` / ``delete``
-        lists.  The stream stops at the first failing attribute and raises:
-        the attributes before it have applied, so the caller must treat the
+        lists; each attribute's inserts apply before its deletes.  The
+        stream stops at the first failing attribute and raises: the
+        attributes before it have applied, so the caller must treat the
         whole stream as suspect.
         """
-        applied = {"inserted": 0, "deleted": 0}
-        for name, values in items.items():
-            insert = values.get("insert", ())
-            delete = values.get("delete", ())
-            result = self.ingest(name, insert=insert, delete=delete)
-            applied["inserted"] += result.get("inserted", len(insert))
-            applied["deleted"] += result.get("deleted", len(delete))
-        return applied
 
     # -- reads ----------------------------------------------------------
     @abc.abstractmethod
@@ -168,16 +158,16 @@ class LocalShard(ShardBackend):
     def names(self) -> list[str]:
         return self.store.names()
 
-    def ingest(
-        self, name: str, insert: Sequence[float] = (), delete: Sequence[float] = ()
-    ) -> dict[str, Any]:
-        inserted = self.store.insert(name, insert) if len(insert) else 0
-        deleted = self.store.delete(name, delete) if len(delete) else 0
-        return {
-            "inserted": inserted,
-            "deleted": deleted,
-            "generation": self.store.stats(name).generation,
-        }
+    def ingest_many(self, items: Mapping[str, Mapping[str, Sequence[float]]]) -> dict[str, int]:
+        applied = {"inserted": 0, "deleted": 0}
+        for name, values in items.items():
+            insert = values.get("insert", ())
+            delete = values.get("delete", ())
+            if len(insert):
+                applied["inserted"] += self.store.insert(name, insert)
+            if len(delete):
+                applied["deleted"] += self.store.delete(name, delete)
+        return applied
 
     def query(self, name: str, queries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
         return self.store.query(name, queries)

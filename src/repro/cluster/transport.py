@@ -101,8 +101,10 @@ READY_PREFIX = "REPRO-SHARD-READY"
 MAX_PAYLOAD_BYTES = 1 << 28
 
 #: Ops whose replies are safe to re-request after an unknown-fate transport
-#: failure: pure reads.  Everything else (create/drop/ingest/restore) may
-#: have been applied by a shard that lost only its reply -- REP011.
+#: failure: pure reads.  Every write in
+#: :data:`~repro.cluster.protocol.WRITE_OPS` (create, drop, ingest_many,
+#: restore) may have been applied by a shard that lost only its reply --
+#: REP011.
 IDEMPOTENT_OPS = frozenset(
     {"names", "query", "stats", "stats_all", "snapshot", "health", "generation", "ping",
      "metrics", "profile"}
@@ -514,11 +516,6 @@ class ProcessShard(ShardBackend):
 
     def names(self) -> list[str]:
         return list(self._call("names", {}))
-
-    def ingest(self, name, insert=(), delete=()):
-        return self._call(
-            "ingest", {"name": name, "insert": list(insert), "delete": list(delete)}
-        )
 
     def ingest_many(self, items):
         # One frame for the whole stream; the worker's backend runs the loop.

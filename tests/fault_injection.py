@@ -6,19 +6,19 @@ exact crash windows that matter for exactly-once semantics:
 
 * **down** -- the shard is unreachable: every call raises
   :class:`~repro.exceptions.ShardUnavailableError` (a killed process);
-* **fail-before-apply** -- the next N ingests raise *before* touching the
-  inner shard (the request never arrived);
-* **fail-after-apply** -- the next N ingests apply on the inner shard and
-  *then* raise (the response was lost: the caller cannot know the write
-  landed -- the nastiest window, where a retry would double-apply);
+* **fail-before-apply** -- the next N attribute writes raise *before*
+  touching the inner shard (the request never arrived);
+* **fail-after-apply** -- the next N attribute writes apply on the inner
+  shard and *then* raise (the response was lost: the caller cannot know the
+  write landed -- the nastiest window, where a retry would double-apply);
 * **fail-N-then-heal** -- either of the above N times, then healthy again.
 
 All failures surface as ``ShardUnavailableError`` carrying the shard id,
 exactly what a :class:`~repro.cluster.transport.ProcessShard` raises for a
 dead transport, so the coordinator cannot tell the double from the real
-thing.  A batch stream (``ingest_many``, inherited from
-:class:`~repro.cluster.protocol.ShardBackend`) runs through the scripted
-``ingest``, so a failure can cut a stream short after its first attributes
+thing.  Values reach a shard only through ``ingest_many``, whose stream the
+double passes to the inner shard one attribute at a time, each through the
+script, so a failure can cut a stream short after its first attributes
 applied.
 """
 
@@ -62,7 +62,7 @@ class FlakyShard(ShardBackend):
     # scripting
     # ------------------------------------------------------------------
     def fail_next_ingests(self, times: int = 1, *, when: str = "before") -> None:
-        """Script the next ``times`` ingests to fail, then heal.
+        """Script the next ``times`` attribute writes to fail, then heal.
 
         ``when="before"`` fails without applying; ``when="after"`` applies
         on the inner shard first and then reports failure.
@@ -97,18 +97,20 @@ class FlakyShard(ShardBackend):
         self._gate("names")
         return self.inner.names()
 
-    def ingest(
-        self, name: str, insert: Sequence[float] = (), delete: Sequence[float] = ()
-    ) -> dict[str, Any]:
-        self._gate("ingest")
-        if self._fail_before > 0:
-            self._fail_before -= 1
-            raise self._unavailable("scripted failure before apply")
-        result = self.inner.ingest(name, insert=insert, delete=delete)
-        if self._fail_after > 0:
-            self._fail_after -= 1
-            raise self._unavailable("scripted failure after apply (response lost)")
-        return result
+    def ingest_many(self, items: Mapping[str, Mapping[str, Sequence[float]]]) -> dict[str, int]:
+        applied = {"inserted": 0, "deleted": 0}
+        for name, values in items.items():
+            self._gate("ingest_many")
+            if self._fail_before > 0:
+                self._fail_before -= 1
+                raise self._unavailable("scripted failure before apply")
+            result = self.inner.ingest_many({name: values})
+            if self._fail_after > 0:
+                self._fail_after -= 1
+                raise self._unavailable("scripted failure after apply (response lost)")
+            applied["inserted"] += result["inserted"]
+            applied["deleted"] += result["deleted"]
+        return applied
 
     def query(self, name: str, queries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
         self._gate("query")

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from fault_injection import FlakyShard
 from repro import ClusterError, ConfigurationError, HistogramStore, UnknownAttributeError
 from repro.cluster import (
     BinaryShardClient,
@@ -17,6 +18,7 @@ from repro.cluster import (
 )
 from repro.cluster.coordinator import INGEST_LEG_VALUES, _stream_legs
 from repro.distributed.union import reduce_segments, superimpose
+from repro.exceptions import ShardUnavailableError
 from repro.persistence import histogram_from_dict
 from repro.service import DurabilityConfig
 
@@ -141,26 +143,30 @@ class TestIngestMany:
     def test_applies_a_stream_in_order_and_stops_at_the_first_failure(self):
         applied = []
 
-        class RecordingShard(LocalShard):
-            def ingest(self, name, insert=(), delete=()):
-                applied.append(name)
-                return super().ingest(name, insert=insert, delete=delete)
+        class RecordingStore(HistogramStore):
+            def insert(self, name, values, **kwargs):
+                applied.append((name, "insert"))
+                return super().insert(name, values, **kwargs)
 
-        shard = RecordingShard("shard-0")
+            def delete(self, name, values):
+                applied.append((name, "delete"))
+                return super().delete(name, values)
+
+        shard = LocalShard("shard-0", RecordingStore())
         shard.create("a", "dc", memory_kb=0.5)
         shard.create("c", "dc", memory_kb=0.5)
         counts = shard.ingest_many(
             {"c": {"insert": [1.0, 2.0, 3.0], "delete": [1.0]}, "a": {"insert": [4.0]}}
         )
         assert counts == {"inserted": 4, "deleted": 1}
-        assert applied == ["c", "a"]
+        assert applied == [("c", "insert"), ("c", "delete"), ("a", "insert")]
 
         applied.clear()
         with pytest.raises(UnknownAttributeError):
             shard.ingest_many(
                 {"a": {"insert": [5.0]}, "ghost": {"insert": [6.0]}, "c": {"insert": [7.0]}}
             )
-        assert applied == ["a", "ghost"]
+        assert applied == [("a", "insert"), ("ghost", "insert")]
         assert shard.store.total_count("a") == pytest.approx(2.0)
         assert shard.store.total_count("c") == pytest.approx(2.0)
 
@@ -184,9 +190,12 @@ class TestIngestMany:
         # Each attribute alone applies well inside the client's 1 s timeout;
         # the whole 1.6 s stream does not, so it must go out in several legs.
         class SlowShard(LocalShard):
-            def ingest(self, name, insert=(), delete=()):
-                time.sleep((len(insert) + len(delete)) * 1e-4)
-                return super().ingest(name, insert=insert, delete=delete)
+            def ingest_many(self, items):
+                time.sleep(
+                    sum(len(v.get("insert", ())) + len(v.get("delete", ())) for v in items.values())
+                    * 1e-4
+                )
+                return super().ingest_many(items)
 
         names = ["a", "b", "c", "d"]
         values = [float(v % 100) for v in range(4000)]
@@ -398,6 +407,47 @@ class TestRebalance:
         assert failure, "rebalance should have propagated the restore failure"
         assert coordinator.router.shard_for("age") == "source"
         assert coordinator.total_count("age") == pytest.approx(102.0)
+
+    def test_failed_replay_onto_target_lands_every_buffered_write_on_source(self):
+        """A replay pass the target fails goes back whole, onto the source."""
+        restore_entered = threading.Event()
+        release_restore = threading.Event()
+
+        class SlowRestoreShard(LocalShard):
+            def restore(self, name, snapshot):
+                restore_entered.set()
+                assert release_restore.wait(5.0)
+                return super().restore(name, snapshot)
+
+        source = LocalShard("source")
+        target = FlakyShard(SlowRestoreShard("target"))
+        coordinator = ClusterCoordinator([source, target])
+        coordinator.router.assign("age", "source")
+        coordinator.create("age", "dc", memory_kb=0.5)
+        coordinator.ingest("age", insert=[float(v) for v in range(100)])
+
+        failure = []
+
+        def move():
+            try:
+                coordinator.rebalance("age", "target")
+            except ShardUnavailableError as error:
+                failure.append(error)
+
+        mover = threading.Thread(target=move)
+        mover.start()
+        assert restore_entered.wait(5.0)
+        for value in (500.0, 501.0):
+            assert coordinator.ingest("age", insert=[value])["buffered_for_move"] is True
+        target.fail_next_ingests(1)
+        release_restore.set()
+        mover.join(timeout=10.0)
+        assert failure, "rebalance should have propagated the replay failure"
+        assert coordinator.router.shard_for("age") == "source"
+        assert coordinator.total_count("age") == pytest.approx(102.0)
+        assert source.store.total_count("age") == pytest.approx(102.0)
+        assert "age" not in target.inner.names()
+        assert coordinator.stats()["dropped_buffered_ops"] == 0
 
     def test_drain_moves_every_homed_attribute(self, coordinator):
         for index in range(6):

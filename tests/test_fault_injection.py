@@ -13,6 +13,8 @@ The contracts under test (ISSUE 5 acceptance criteria):
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from fault_injection import FlakyShard
@@ -317,6 +319,101 @@ class TestPartialFailureMarking:
         coordinator.resync(follower.shard_id)
         assert identical_snapshots(primary, follower, "age")
         assert not coordinator.is_stale("age", follower.shard_id)
+
+
+class GatedRestoreShard(LocalShard):
+    """A local shard whose restore waits until the test releases it."""
+
+    def __init__(self, shard_id: str) -> None:
+        super().__init__(shard_id)
+        self.restoring = threading.Event()
+        self.release = threading.Event()
+
+    def restore(self, name, snapshot):
+        self.restoring.set()
+        assert self.release.wait(5.0)
+        return super().restore(name, snapshot)
+
+
+class TestResyncFence:
+    """Writes acknowledged during a resync copy replay onto every replica."""
+
+    @pytest.fixture
+    def gated(self):
+        shards = [FlakyShard(GatedRestoreShard(f"shard-{index}")) for index in range(N_SHARDS)]
+        router = ShardRouter([shard.shard_id for shard in shards], replication_factor=2)
+        coordinator = ClusterCoordinator(shards, router=router, global_buckets=32)
+        coordinator.create("age", "dc", memory_kb=0.5)
+        coordinator.ingest("age", insert=[float(v % 90) for v in range(500)])
+        by_id = {shard.shard_id: shard for shard in shards}
+        return coordinator, replica_pair(coordinator, by_id, "age")
+
+    @staticmethod
+    def resync_around_writes(coordinator, target, script):
+        """Resync ``target`` while two writes arrive during its copy.
+
+        ``script`` runs after both writes were acknowledged as buffered and
+        before the copy finishes; returns the resync's report or error.
+        """
+        outcome = {}
+
+        def run():
+            try:
+                outcome["report"] = coordinator.resync(target.shard_id)
+            except Exception as error:  # noqa: BLE001 - the assertion
+                outcome["error"] = error
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        assert target.inner.restoring.wait(5.0)
+        for value in (1000.0, 1001.0):
+            assert coordinator.ingest("age", insert=[value])["buffered_for_move"] is True
+        script()
+        target.inner.release.set()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        return outcome
+
+    def test_buffered_writes_land_exactly_once_on_every_replica(self, gated):
+        coordinator, (primary, follower) = gated
+        outcome = self.resync_around_writes(coordinator, follower, lambda: None)
+        assert outcome["report"]["resynced"] == {"age": primary.shard_id}
+        assert exact_total(primary, "age") == pytest.approx(502.0)
+        assert exact_total(follower, "age") == pytest.approx(502.0)
+        assert identical_snapshots(primary, follower, "age")
+        stats = coordinator.stats()
+        assert stats["dropped_buffered_ops"] == 0
+        assert stats["stale_replicas"] == []
+
+    def test_a_replica_failing_the_replay_is_marked_and_the_other_applies(self, gated):
+        coordinator, (primary, follower) = gated
+        outcome = self.resync_around_writes(
+            coordinator, follower, lambda: follower.fail_next_ingests(1)
+        )
+        assert outcome["report"]["resynced"] == {"age": primary.shard_id}
+        assert exact_total(primary, "age") == pytest.approx(502.0)
+        assert exact_total(follower, "age") == pytest.approx(501.0)
+        assert coordinator.stale_replicas() == [("age", follower.shard_id)]
+        assert coordinator.stats()["dropped_buffered_ops"] == 0
+
+        coordinator.resync(follower.shard_id)
+        assert exact_total(follower, "age") == pytest.approx(502.0)
+        assert identical_snapshots(primary, follower, "age")
+
+    def test_a_replay_failing_on_every_replica_is_counted_and_raises(self, gated):
+        coordinator, (primary, follower) = gated
+
+        def fail_both():
+            primary.fail_next_ingests(1)
+            follower.fail_next_ingests(1)
+
+        outcome = self.resync_around_writes(coordinator, follower, fail_both)
+        assert isinstance(outcome.get("error"), ShardUnavailableError)
+        assert coordinator.stats()["dropped_buffered_ops"] == 1
+        # The write behind the dropped one still landed, on both replicas.
+        assert exact_total(primary, "age") == pytest.approx(501.0)
+        assert exact_total(follower, "age") == pytest.approx(501.0)
+        assert identical_snapshots(primary, follower, "age")
 
 
 class TestDropUnderFailure:

@@ -114,6 +114,13 @@ class TestEdgeContract:
         assert status == 404
         assert json.loads(body)["name"] == "missing"
 
+    def test_empty_ingest_to_unknown_attribute_404(self, server):
+        status, _, body = _request(
+            server, "POST", "/attributes/missing/ingest", body=b'{"insert": [], "delete": []}'
+        )
+        assert status == 404
+        assert json.loads(body)["name"] == "missing"
+
     def test_trace_id_is_adopted_and_echoed(self, make_server):
         with make_server(trace=True) as running:
             status, headers, body = _request(

@@ -7,7 +7,7 @@ bench scripts the same way the script itself does).
 Covers:
 
 * micro end-to-end runs of one cell per in-process runner kind (histogram /
-  service / cluster read) at tiny sizes;
+  service / store read) at tiny sizes;
 * schema and fingerprint stamping of the emitted report;
 * the regression gate: pass on identical data, **exit non-zero with the
   offending cell named in the delta table on an injected 2x slowdown** (the
@@ -49,13 +49,12 @@ MICRO_SIZES = {
     "catalog_chunk": 16,
     "hot_chunk": 32,
     "read_duration_s": 0.2,
-    "read_writers": 1,
-    "read_readers": 1,
+    "read_write_chunk": 200,
     "repeats": 1,
 }
 
 #: One representative cell per in-process runner kind.
-MICRO_CELLS = ["hist_dc", "wal_on", "read_qps_shards_1"]
+MICRO_CELLS = ["hist_dc", "wal_on", "read_published_single"]
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +67,7 @@ class TestMatrixCells:
         cells = micro_report["cells"]
         assert set(cells) == set(MICRO_CELLS)
         kinds = {matrix.CELLS[name]["kind"] for name in cells}
-        assert kinds == {"histogram", "service", "cluster_read"}
+        assert kinds == {"histogram", "service", "store_read"}
         for name, cell in cells.items():
             assert cell["ops_per_sec"] > 0, name
             assert "latency_p99_s" in cell, name
@@ -83,7 +82,7 @@ class TestMatrixCells:
 
     def test_cell_detail_records_its_knob(self, matrix, micro_report):
         assert micro_report["cells"]["wal_on"]["detail"]["wal"] == "on"
-        assert micro_report["cells"]["read_qps_shards_1"]["detail"]["shards"] == 1
+        assert micro_report["cells"]["read_published_single"]["detail"]["read_path"] == "published"
 
     def test_profile_flag_embeds_attribution(self, matrix):
         report = matrix.run_matrix(
@@ -128,19 +127,19 @@ class TestGate:
 
     def test_missing_cell_is_a_regression(self, matrix, micro_report):
         shrunk = copy.deepcopy(micro_report)
-        del shrunk["cells"]["read_qps_shards_1"]
+        del shrunk["cells"]["read_published_single"]
         _, failures = matrix.gate_compare(shrunk, micro_report)
         assert any(
-            "read_qps_shards_1" in failure and "missing" in failure for failure in failures
+            "read_published_single" in failure and "missing" in failure for failure in failures
         )
 
     def test_latency_blowup_fails(self, matrix, micro_report):
         slow = copy.deepcopy(micro_report)
-        base_p99 = max(micro_report["cells"]["read_qps_shards_1"]["latency_p99_s"], 0.005)
-        slow["cells"]["read_qps_shards_1"]["latency_p99_s"] = base_p99 * 10.0
+        base_p99 = max(micro_report["cells"]["read_published_single"]["latency_p99_s"], 0.005)
+        slow["cells"]["read_published_single"]["latency_p99_s"] = base_p99 * 10.0
         _, failures = matrix.gate_compare(slow, micro_report)
         assert any(
-            "read_qps_shards_1" in failure and "latency_p99_s" in failure
+            "read_published_single" in failure and "latency_p99_s" in failure
             for failure in failures
         )
 

@@ -131,7 +131,7 @@ class TestErrorReconstruction:
 class TestRoundTrip:
     def test_create_ingest_query_stats(self, shard):
         shard.create("age", "dc", memory_kb=0.5)
-        shard.ingest("age", insert=[float(v % 50) for v in range(500)])
+        shard.ingest_many({"age": {"insert": [float(v % 50) for v in range(500)]}})
         stats = shard.stats("age")
         assert stats["total_count"] == pytest.approx(500.0)
         reply = shard.query("age", [{"op": "range", "low": 0.0, "high": 50.0}])
@@ -142,7 +142,7 @@ class TestRoundTrip:
 
     def test_snapshot_restore_bit_identical(self, shard):
         shard.create("age", "dc", memory_kb=0.5)
-        shard.ingest("age", insert=[float(v % 90) for v in range(700)])
+        shard.ingest_many({"age": {"insert": [float(v % 90) for v in range(700)]}})
         snapshot = shard.snapshot("age")
         shard.drop("age")
         shard.create("age", "dc", memory_kb=0.5)
@@ -173,7 +173,7 @@ class TestRoundTrip:
     def test_generation_advances(self, shard):
         shard.create("age", "dc", memory_kb=0.5)
         before = shard.generation("age")
-        shard.ingest("age", insert=[1.0])
+        shard.ingest_many({"age": {"insert": [1.0]}})
         assert shard.generation("age") > before
 
     def test_ping_answers_without_backend_dispatch(self, client):
@@ -182,6 +182,12 @@ class TestRoundTrip:
     def test_unknown_op_rejected(self, client):
         with pytest.raises(ServiceError, match="unknown shard op"):
             client.call("shutdown")
+
+    def test_ingest_many_is_the_only_value_op(self, client, shard):
+        shard.create("age", "dc", memory_kb=0.5)
+        with pytest.raises(ServiceError, match="unknown shard op 'ingest'"):
+            client.call("ingest", {"name": "age", "insert": [1.0]})
+        assert shard.stats("age")["total_count"] == pytest.approx(0.0)
 
     def test_connection_pool_reuses_sockets(self, client):
         client.call("ping")
@@ -207,7 +213,7 @@ class TestRetryDiscipline:
             "127.0.0.1", port, timeout=1.0, retries=2, retry_backoff=0.01
         )
         with pytest.raises(OSError):
-            client.call("ingest", {"name": "age", "insert": [1.0]})
+            client.call("ingest_many", {"items": {"age": {"insert": [1.0]}}})
         assert client.transport_stats["connect_retries"] == 3
 
     def test_post_wire_failure_on_write_never_retries(self, server, client, shard):
@@ -218,7 +224,7 @@ class TestRetryDiscipline:
         client.checkin(connection)
         connection._sock.close()
         with pytest.raises(ShardUnavailableError):
-            shard.ingest("age", insert=[2.0])
+            shard.ingest_many({"age": {"insert": [2.0]}})
         # No silent replay happened: the value was never applied.
         assert shard.stats("age")["total_count"] == pytest.approx(0.0)
 
@@ -232,7 +238,7 @@ class TestRetryDiscipline:
         assert shard.names() == ["age"]  # retried transparently
 
     def test_idempotent_op_set_is_reads_only(self):
-        assert "ingest" not in IDEMPOTENT_OPS
+        assert "ingest_many" not in IDEMPOTENT_OPS
         assert "restore" not in IDEMPOTENT_OPS
         assert "create" not in IDEMPOTENT_OPS
         assert "drop" not in IDEMPOTENT_OPS
@@ -288,7 +294,7 @@ class TestPipelinedScatter:
         outcome = try_pipelined_scatter(
             fleet,
             {
-                shard_id: ("ingest", {"name": "age", "insert": values})
+                shard_id: ("ingest_many", {"items": {"age": {"insert": values}}})
                 for shard_id, values in payloads.items()
             },
         )
@@ -339,7 +345,7 @@ class TestConcurrentClients:
         def worker(base):
             try:
                 for i in range(10):
-                    shard.ingest("age", insert=[float(base * 100 + i)])
+                    shard.ingest_many({"age": {"insert": [float(base * 100 + i)]}})
             except Exception as error:  # noqa: BLE001 - the assertion
                 errors.append(error)
 
