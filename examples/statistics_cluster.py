@@ -11,8 +11,8 @@ cluster-level behaviour:
 2. scatter-gather ingest -- per-attribute batches routed to home shards,
    the hot attribute split per value and fanned out concurrently,
 3. merged global estimates for the partitioned attribute, built with the
-   paper's Section 8 union operators (superimpose + reduce) and cached on
-   the sum of the piece shards' generation counters,
+   paper's Section 8 union operators (superimpose + reduce) from the piece
+   views the coordinator holds, and rebuilt only for pieces a write moved,
 4. a rebalance (snapshot/restore move) and a drain, the cluster's
    operational primitives,
 5. the HTTP face: a :class:`~repro.cluster.server.ClusterServer` driven
@@ -80,9 +80,9 @@ def main() -> None:
             f"hot in [{low:6.0f}, {high:6.0f}]: merged={merged:9.1f}  "
             f"unsharded={single:9.1f}  exact={exact:9.0f}"
         )
-    generation = coordinator.query("hot", [{"op": "total"}])["generation"]
-    print(f"merge cache keyed on piece generation sum {generation} "
-          "(rebuilt only after shard writes)")
+    shards = coordinator.query("hot", [{"op": "total"}])["shards"]
+    print(f"merged from the piece views held for {sorted(shards.values())} "
+          "(each re-fetched only after a write to its piece)")
 
     # 4. Rebalance: move an attribute, then drain a whole shard.
     home = coordinator.router.shard_for("age")

@@ -2,7 +2,7 @@
 
 Five PRs of growth left the serving stack's correctness resting on invariants
 that existed only as ROADMAP prose: log-before-apply inside the ordering lock,
-generation-probe-before-snapshot merge caching, explicit view invalidation on
+reading a replica's incarnation before fetching its view, explicit view invalidation on
 template-bypassing mutations, sorted-name all-locks acquisition, never the
 salted builtin ``hash`` in placement code, never retrying a non-idempotent
 POST.  Each was once a real bug or a reviewed near-miss; nothing but reviewer

@@ -5,7 +5,7 @@ stack (see the invariant-catalog table in ROADMAP.md for the prose each rule
 is compiled from).  The rules are deliberately *repo-shaped*: they know the
 names of this codebase's locks, logs and caches, because a generic linter
 cannot know that ``_log`` must precede ``insert_many`` inside the attribute
-lock, or that a generation probe must lexically precede a snapshot fetch.
+lock, or that a replica's incarnation must be read before its view is fetched.
 
 Rules are written as AST pattern checks over a :class:`~repro.analysis.engine.SourceModule`
 and registered with the :func:`rule` decorator; ``python -m repro.analysis``
@@ -383,7 +383,7 @@ def check_no_builtin_hash(module: SourceModule) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# REP005 -- generation probe before snapshot fetch
+# REP005 -- incarnation read before a published fetch
 # ----------------------------------------------------------------------
 def _names_op(call: ast.Call, op: str) -> bool:
     """True when ``call`` passes ``op`` as a string: an ``(op, args)`` leg."""
@@ -392,36 +392,33 @@ def _names_op(call: ast.Call, op: str) -> bool:
 
 @rule(
     "REP005",
-    "merge caching reads generations BEFORE snapshots",
-    paths=("repro/cluster/",),
+    "a published fetch reads the replica incarnation BEFORE it is sent",
+    paths=("repro/cluster/coordinator.py",),
     description=(
-        "The merged-estimate cache is keyed on the piece generation sum read "
-        "BEFORE the snapshots: a racing write then makes the cached entry "
-        "fresher than its key (safe -- the next query rebuilds).  Reading "
-        "snapshots first could serve a stale merge under a fresh key forever."
+        "The coordinator tags a fetched view with the incarnation token it "
+        "read BEFORE sending the `published` leg (and holds it only when the "
+        "reply names that token): if the worker is respawned while the fetch "
+        "is in flight, the supervisor's new token retires the view.  A token "
+        "read after the reply could tag a dead worker's view with the new "
+        "token, and it would answer estimates for ever."
     ),
 )
-def check_generation_before_snapshot(module: SourceModule) -> Iterator[Finding]:
+def check_incarnation_before_published(module: SourceModule) -> Iterator[Finding]:
     for func in module.functions():
-        generation_lines = [
-            call.lineno
-            for call in _calls(func)
-            if _call_name(call) in {"_generation_sum", "_piece_generations", "generation"}
-            or _names_op(call, "generation")
-        ]
-        snapshot_lines = [
-            call.lineno
-            for call in _calls(func)
-            if _call_name(call) == "snapshot" or _names_op(call, "snapshot")
-        ]
-        if not generation_lines or not snapshot_lines:
+        fetch_lines = [call.lineno for call in _calls(func) if _names_op(call, "published")]
+        if not fetch_lines:
             continue
-        if min(snapshot_lines) < min(generation_lines):
+        token_lines = [
+            node.lineno
+            for node in ast.walk(func)
+            if isinstance(node, ast.Attribute) and node.attr == "incarnation"
+        ]
+        if not token_lines or min(token_lines) > min(fetch_lines):
             yield (
-                min(snapshot_lines),
-                f"{func.name} fetches snapshots before probing generations; "
-                "the probe-before-snapshot order is what keeps the merge "
-                "cache key from overstating freshness",
+                min(fetch_lines),
+                f"{func.name} sends a published leg before reading the replica "
+                "incarnation; a fetch racing a respawn would be held under the "
+                "new worker's token",
             )
 
 
@@ -627,6 +624,7 @@ _REP010_READ_FUNCS = {
     "cdf",
     "total_count",
     "generation",
+    "published",
     "query",
 }
 

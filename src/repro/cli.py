@@ -15,9 +15,9 @@ The CLI mirrors what the benchmark harness does, but as a user-facing tool:
 * ``repro-experiments serve-cluster`` -- run a sharded statistics cluster
   (:mod:`repro.cluster`): N shard worker processes behind one scatter-gather
   HTTP front-end, with optional value-range partitioning of hot attributes,
-  N-way replication (``--replication-factor``, with ``--replica-reads`` to
-  rotate estimate reads over fresh replicas) and per-shard write-ahead
-  logs (``--wal-dir``);
+  N-way replication (``--replication-factor``; ``--replica-reads`` is
+  accepted and has no effect) and per-shard write-ahead logs
+  (``--wal-dir``);
 * ``repro-experiments cluster-stats`` -- pretty-print per-shard stats and
   placement rules of a running cluster server;
 * ``repro-experiments resync`` -- heal a recovered shard of a running
@@ -215,9 +215,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cluster_parser.add_argument(
         "--replica-reads", action="store_true",
-        help="rotate estimate reads over an attribute's fresh (non-stale) "
-             "replicas instead of always hitting the primary first -- "
-             "spreads query load when --replication-factor > 1",
+        help="accepted for compatibility and has no effect: the front end "
+             "answers estimates from the views it holds, so reads put no "
+             "load on any replica",
     )
     cluster_parser.add_argument(
         "--wal-dir", type=Path, default=None,
@@ -558,7 +558,7 @@ def _command_serve_cluster(args, out) -> int:
     if args.replication_factor > 1:
         out.write(f"replication factor: {args.replication_factor}\n")
     if args.replica_reads:
-        out.write("replica reads: rotating over fresh replicas\n")
+        out.write("replica reads: no effect (estimates are served from held views)\n")
     if args.wal_dir is not None:
         state = "recovered existing catalogs" if recovered else "fresh logs"
         out.write(f"durability: per-shard WALs under {args.wal_dir} ({state}) (worker-owned)\n")

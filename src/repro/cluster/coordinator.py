@@ -21,22 +21,58 @@ exactly one ``ingest_many`` stream, in rounds of at most
 failing piece never rolls back the others (the same partial-apply semantics
 as the service layer; the error names the failing shard).
 
+**Estimates from held views.**  The coordinator is the only writer of its
+worker fleet: every write, ``create``, ``restore``, ``rebalance`` and
+``resync`` reaches a worker through it, and every write reply carries the
+*version* ``(incarnation, generation)`` each replica it changed is now at.
+So it answers estimates itself.  It holds one published view per
+unpartitioned attribute, and one per piece of a range-partitioned one, each
+fetched with the lock-free shard op ``published``, and it evaluates query
+batches against the held view with
+:func:`~repro.service.store.evaluate_queries` -- the same code, on the same
+arrays, the worker would run.  A held view ``(replica, incarnation,
+generation)`` answers a read only while the *version rule* proves it
+current:
+
+(a) the replica is still in the attribute's (or piece's) routed replica set
+    and is not marked stale;
+(b) its incarnation equals the replica's current
+    :attr:`~repro.cluster.protocol.ShardBackend.incarnation`, a local read;
+(c) its generation is at least the newest generation learned for that
+    replica under that incarnation.
+
+Otherwise the first read fetches a new view, primary first with failover,
+and installs it.  Four details keep the rule sound.  A fetched view is
+tagged with the incarnation read *before* the fetch is sent, and held only
+when the reply names the same one, so a fetch racing a respawn is never
+held under the new token.  A write's versions are learned before the write
+is acknowledged, so a reader always sees its own writes.  A write leg of
+unknown fate drops that replica's views of every attribute the leg carried,
+whether or not the group succeeded elsewhere.  ``create``, ``drop``,
+``restore``, ``rebalance`` and ``resync`` discard the attribute's views and
+learned versions, and a fetch that raced the discard is not held.
+
 **Merged global estimates.**  Queries against a partitioned attribute cannot
 be answered by any one shard.  The coordinator rebuilds the paper's Section 8
-machinery: it snapshots every piece, superimposes the piece histograms
+machinery from the held piece views: it superimposes them
 (:func:`~repro.distributed.union.superimpose` -- lossless) and reduces the
 union back to the configured bucket budget
 (:func:`~repro.distributed.union.reduce_segments`).  The merged histogram is
-cached under the *sum of the piece shards' generation counters*: generations
-are read **before** the snapshots, so the cache key can only under-state the
-data's freshness -- a write racing the rebuild bumps the sum and forces the
-next query to rebuild, never the reverse (a stale histogram served under a
-fresh key).  Maintenance is *incremental*: the per-piece snapshots are cached
-alongside the merge, so a rebuild re-fetches only the pieces whose probed
-generation moved and superimposes them with the retained members -- a write
-to one piece of an N-piece attribute costs one snapshot, not N.  At rest, the
-cached merge is bit-identical to a from-scratch superimpose + reduce (the
-property suite asserts this, incremental refresh included).
+cached together with the views it was built from, so it is keyed on the
+per-piece version vector, never on a sum: a read re-fetches only the pieces
+whose view fails the version rule, and re-merges.  The fetch runs outside
+the attribute's merge lock; the re-check, the merge and the install run
+under it, so two readers that both saw a write merge once.  At rest, the
+cached merge is bit-identical to a from-scratch superimpose + reduce of the
+pieces' published views.
+
+**Invariants.**  One front end per worker fleet: a second coordinator
+writing to the same workers would need the per-read probes back.  A killed
+worker's held views keep answering until the supervisor respawns it (its
+poll interval plus a spawn: 0.5-0.7 s from ``kill -9`` to the new token on
+a 2-core host); the respawn changes the incarnation and retires them.  A
+WAL-less respawn is not yet a stale event: the new worker answers with
+whatever it holds.
 
 **Rebalance / drain.**  :meth:`rebalance` moves an attribute between shards
 via snapshot/restore without losing writes: writes arriving during the copy
@@ -58,24 +94,22 @@ replica is healed wholesale by :meth:`resync` (snapshot from a live replica,
 restore over the stale one -- a full-state replace, immune to double-apply
 by construction).  Reads try
 the primary first and fail over to the next live, non-stale replica on
-:class:`~repro.exceptions.ShardUnavailableError`.  With
-``replica_reads=True`` the coordinator instead *rotates* estimate reads
-round-robin across the known-fresh replicas of an attribute (every replica
-applies every write, so any non-stale replica answers identically), spreading
-query load over the whole replica set; known-stale replicas stay demoted to
-last-resort exactly as in failover.
+:class:`~repro.exceptions.ShardUnavailableError`.  ``replica_reads`` is
+accepted and does nothing: estimates no longer reach the workers, so there
+is no read load to spread over the replicas.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import threading
 import time
 from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 from typing import Any
 
-from ..core.base import Histogram
+from ..core.base import Histogram, SnapshotHistogram
+from ..core.segment_view import SegmentView
 from ..distributed.union import UnionHistogram, reduce_segments, superimpose
 from ..exceptions import (
     ClusterError,
@@ -84,7 +118,9 @@ from ..exceptions import (
     UnknownAttributeError,
 )
 from ..obs.trace import current_trace, maybe_span
-from ..persistence import histogram_from_dict
+# Unused here since merges read published views; perfbench/layers.py wraps
+# this module attribute, so it stays until a benchmark change drops the pin.
+from ..persistence import histogram_from_dict  # noqa: F401
 from ..service.store import evaluate_queries
 from .protocol import ShardBackend
 from .router import RangePartition, ShardRouter
@@ -103,6 +139,43 @@ DEFAULT_GLOBAL_BUCKETS = 64
 INGEST_LEG_VALUES = 4096
 
 
+@dataclass(frozen=True)
+class _HeldView:
+    """One replica's published view as the coordinator received it."""
+
+    shard_id: str
+    incarnation: str
+    generation: int
+    histogram: SnapshotHistogram
+
+
+@dataclass(frozen=True)
+class _MergedEntry:
+    """A merged global histogram and the piece views it was built from.
+
+    The views carry each piece's ``(replica, incarnation, generation)``: the
+    per-piece version vector that decides whether the entry is current.
+    """
+
+    views: Mapping[str, _HeldView]
+    merged: UnionHistogram
+
+    @property
+    def generation_sum(self) -> int:
+        """The piece generations added up: a reported number, never a cache key."""
+        return sum(view.generation for view in self.views.values())
+
+
+def _received_view(shard_id: str, reply: Mapping[str, Any]) -> _HeldView:
+    """The view a ``published`` reply ships, rebuilt bit for bit."""
+    return _HeldView(
+        shard_id,
+        str(reply["incarnation"]),
+        int(reply["generation"]),
+        SnapshotHistogram(SegmentView.from_wire(reply["view"])),
+    )
+
+
 class ClusterCoordinator:
     """Routes, fans out and merges across the cluster's shards.
 
@@ -117,9 +190,9 @@ class ClusterCoordinator:
     value_unit:
         Domain granularity forwarded to the reduction metric.
     replica_reads:
-        When true, estimate reads rotate round-robin across the known-fresh
-        replicas instead of always hitting the primary, spreading query load
-        over the replica set (reads only; writes always fan to all replicas).
+        Accepted and ignored: estimates are answered from views the
+        coordinator holds, so there is no read load to spread over the
+        replicas.
     """
 
     def __init__(
@@ -147,22 +220,19 @@ class ClusterCoordinator:
                 raise ConfigurationError(f"router routes to unknown shard {shard_id!r}")
         self._global_buckets = int(global_buckets)
         self._value_unit = float(value_unit)
-        # Read-replica mode: estimate reads rotate across fresh replicas.
-        # itertools.count.__next__ is a single C call, so the rotation is
-        # thread-safe without a lock of its own.
         self._replica_reads = bool(replica_reads)
-        self._read_rotation = itertools.count()
-        # Merged-histogram cache:
-        # name -> (generation_sum, merged histogram, piece_states) where
-        # piece_states maps each piece's primary shard id to (the snapshot's
-        # own generation, the deserialised member histogram).  The retained
-        # members make rebuilds incremental: only pieces whose probed
-        # generation differs are re-fetched.
-        self._merge_cache: dict[
-            str, tuple[int, UnionHistogram, dict[str, tuple[int, Histogram]]]
-        ] = {}
+        # Held views (see "Estimates from held views"): one per unpartitioned
+        # attribute, and one per piece inside each merged entry.  The learned
+        # table maps (name, shard id) to the newest (incarnation, generation)
+        # a reply reported; an epoch moves on every discard, so a fetch that
+        # raced one is not held.  All four tables change under _views_lock,
+        # a leaf; reads of single entries go without it.
+        self._views: dict[str, _HeldView] = {}
+        self._merge_cache: dict[str, _MergedEntry] = {}
+        self._learned: dict[tuple[str, str], tuple[str, int]] = {}
+        self._epochs: dict[str, int] = {}
         self._merge_locks: dict[str, threading.Lock] = {}
-        self._merge_guard = threading.Lock()
+        self._views_lock = threading.Lock()
         # In-flight moves: name -> buffered (insert, delete) writes, in
         # arrival order, plus a count of applies currently running per
         # attribute.  The condition's lock guards both tables; a move waits
@@ -188,6 +258,7 @@ class ClusterCoordinator:
         self._m_fanout_seconds = None
         self._m_failovers = None
         self._m_stale_marks = None
+        self._m_view_reads = None
         if metrics is not None:
             from ..obs.registry import LATENCY_BUCKETS_S
 
@@ -204,6 +275,11 @@ class ClusterCoordinator:
             self._m_stale_marks = metrics.counter(
                 "repro_cluster_stale_marks_total",
                 "Replicas marked stale after missing a fan-out write",
+            )
+            self._m_view_reads = metrics.counter(
+                "repro_cluster_view_reads_total",
+                "Estimate reads answered from a held view, or after fetching one",
+                labelnames=("outcome",),
             )
             for shard in self._shards.values():
                 bind = getattr(shard, "bind_metrics", None)
@@ -315,27 +391,16 @@ class ClusterCoordinator:
         with self._stale_lock:
             return sorted(self._stale)
 
-    def _failover_order(
-        self, name: str, replicas: Sequence[str], *, spread: bool = False
-    ) -> list[str]:
+    def _failover_order(self, name: str, replicas: Sequence[str]) -> list[str]:
         """Read preference: primary first, known-stale replicas demoted last.
 
         A stale replica is still tried as the last resort -- an estimate
         from a slightly-behind replica beats no estimate at all -- but only
         after every up-to-date candidate proved unreachable.
-
-        With ``spread`` (read-replica mode) the fresh candidates are rotated
-        round-robin instead of primary-first: every fresh replica applied
-        every acknowledged write (a replica that missed one is marked stale
-        and lands in the demoted tail), so any of them answers estimate
-        reads identically and the rotation spreads query load evenly.
         """
         with self._stale_lock:
             fresh = [sid for sid in replicas if (name, sid) not in self._stale]
             stale = [sid for sid in replicas if (name, sid) in self._stale]
-        if spread and len(fresh) > 1:
-            offset = next(self._read_rotation) % len(fresh)
-            fresh = fresh[offset:] + fresh[:offset]
         return fresh + stale
 
     def _call_with_failover(
@@ -345,7 +410,6 @@ class ClusterCoordinator:
         op: str,
         args: Mapping[str, Any],
         *,
-        spread: bool = False,
         tried: tuple[str, Exception] | None = None,
     ):
         """Run ``op`` on the first live replica; returns (id, result).
@@ -365,7 +429,7 @@ class ClusterCoordinator:
         """
         last_unavailable: ShardUnavailableError | None = None
         last_unknown: UnknownAttributeError | None = None
-        for shard_id in self._failover_order(name, replicas, spread=spread):
+        for shard_id in self._failover_order(name, replicas):
             try:
                 if tried is not None and shard_id == tried[0]:
                     raise tried[1]
@@ -415,18 +479,26 @@ class ClusterCoordinator:
         duplicate create, a bad payload) are the same on every replica and
         propagate at once.  Returns the per-leg results of every shard that
         finished its stream, and the ``(name, shard_id)`` pairs marked stale.
+
+        Every round's replies are noted before anything returns or raises:
+        the versions they carry are learned, and a leg that failed, for any
+        reason, drops its replica's views of the attributes it carried.
         """
         results: dict[str, list[Any]] = {shard_id: [] for shard_id in streams}
         errors: dict[str, Exception] = {}
         for round_index in range(max(map(len, streams.values()), default=0)):
+            legs = {
+                shard_id: shard_legs[round_index]
+                for shard_id, shard_legs in streams.items()
+                if round_index < len(shard_legs) and shard_id not in errors
+            }
             round_results, round_errors = self._scatter_tolerant(
-                {
-                    shard_id: legs[round_index]
-                    for shard_id, legs in streams.items()
-                    if round_index < len(legs) and shard_id not in errors
-                },
-                failure_types=failure_types,
+                legs, failure_types=(Exception,)
             )
+            self._note_write_replies(legs, round_results)
+            for error in round_errors.values():
+                if not isinstance(error, failure_types):
+                    raise error
             errors.update(round_errors)
             for shard_id, result in round_results.items():
                 results[shard_id].append(result)
@@ -446,6 +518,119 @@ class ClusterCoordinator:
         if fully_failed is not None:
             raise fully_failed
         return {sid: legs for sid, legs in results.items() if sid not in errors}, failed
+
+    # ------------------------------------------------------------------
+    # held views: versions, the rule, fetches, discards
+    # ------------------------------------------------------------------
+    def _note_write_replies(
+        self,
+        legs: Mapping[str, tuple[str, Mapping[str, Any]]],
+        results: Mapping[str, Any],
+    ) -> None:
+        """Learn the versions a round of write replies carries.
+
+        Runs before the write is acknowledged, so a read that follows the
+        acknowledgement can never be answered from a view older than it.  A
+        leg without a result, or a result without a version for an attribute
+        the leg carried, is of unknown fate: that replica's views of that
+        attribute are dropped.  An empty write changes nothing and is skipped.
+        """
+        with self._views_lock:
+            for shard_id, (_, args) in legs.items():
+                if "items" in args:
+                    names = [
+                        name
+                        for name, values in args["items"].items()
+                        if values["insert"] or values["delete"]
+                    ]
+                else:
+                    names = [args["name"]]
+                versions = _reply_versions(args, results.get(shard_id))
+                for name in names:
+                    if name in versions:
+                        self._learn(name, shard_id, *versions[name])
+                    else:
+                        self._drop_views(name, shard_id)
+
+    def _learn(self, name: str, shard_id: str, incarnation: str, generation: int) -> None:
+        """Record a replica's version; the caller holds ``_views_lock``.
+
+        A version from another incarnation replaces the one known: the
+        newest reply names the store that answers now.
+        """
+        known = self._learned.get((name, shard_id))
+        if known is None or known[0] != incarnation or known[1] < generation:
+            self._learned[name, shard_id] = (incarnation, generation)
+
+    def _drop_views(self, name: str, shard_id: str) -> None:
+        """Forget ``shard_id``'s views of ``name``; the caller holds ``_views_lock``."""
+        self._epochs[name] = self._epochs.get(name, 0) + 1
+        held = self._views.get(name)
+        if held is not None and held.shard_id == shard_id:
+            del self._views[name]
+        entry = self._merge_cache.get(name)
+        if entry is not None and any(view.shard_id == shard_id for view in entry.views.values()):
+            self._merge_cache[name] = _MergedEntry(
+                {piece: view for piece, view in entry.views.items() if view.shard_id != shard_id},
+                entry.merged,
+            )
+
+    def _discard_views(self, name: str) -> None:
+        """Forget every view and learned version of ``name`` (create, drop,
+        restore, rebalance and resync change state no reply fully reports)."""
+        with self._views_lock:
+            self._epochs[name] = self._epochs.get(name, 0) + 1
+            self._views.pop(name, None)
+            self._merge_cache.pop(name, None)
+            for key in [key for key in self._learned if key[0] == name]:
+                del self._learned[key]
+
+    def _holds(self, name: str, view: _HeldView, replicas: Sequence[str]) -> bool:
+        """The version rule: may ``view`` still answer reads of ``name``?
+
+        Reads the tables without ``_views_lock``: each lookup is atomic, and
+        a check that races a stale mark or a learned version races a write
+        that is not acknowledged yet, which the read may precede.
+        """
+        if view.shard_id not in replicas or self.is_stale(name, view.shard_id):
+            return False
+        if view.incarnation != self.shard(view.shard_id).incarnation:
+            return False
+        known = self._learned.get((name, view.shard_id))
+        return known is None or (known[0] == view.incarnation and view.generation >= known[1])
+
+    def _adopt(self, name: str, view: _HeldView) -> bool:
+        """Whether a fetched view may be held; the caller holds ``_views_lock``.
+
+        A view older than a version already learned under its incarnation
+        is not held.  One from a newer incarnation than the learned version
+        replaces it, or the rule would refuse the view for ever.
+        """
+        known = self._learned.get((name, view.shard_id))
+        if known is not None and known[0] == view.incarnation and view.generation < known[1]:
+            return False
+        self._learn(name, view.shard_id, view.incarnation, view.generation)
+        return True
+
+    def _view(self, name: str) -> tuple[_HeldView, bool]:
+        """An unpartitioned attribute's current view, and whether it was fetched."""
+        replicas = self._router.replicas_for(name)
+        held = self._views.get(name)
+        if held is not None and self._holds(name, held, replicas):
+            return held, False
+        # Tokens and epoch first (REP005): the reply is held only if the
+        # replica that sent it kept its incarnation and no discard ran since.
+        tokens = {shard_id: self.shard(shard_id).incarnation for shard_id in replicas}
+        epoch = self._epochs.get(name, 0)
+        shard_id, reply = self._call_with_failover(
+            name, replicas, "published", {"name": name}
+        )
+        view = _received_view(shard_id, reply)
+        if view.incarnation == tokens[shard_id]:
+            with self._views_lock:
+                if self._epochs.get(name, 0) == epoch and self._adopt(name, view):
+                    self._views[name] = view
+        return view, True
 
     def _write_groups(
         self,
@@ -551,6 +736,7 @@ class ClusterCoordinator:
             },
         )
 
+        self._discard_views(name)
         if partition_boundaries is None:
             if partition_shards is not None:
                 raise ConfigurationError("partition_shards requires partition_boundaries")
@@ -625,6 +811,7 @@ class ClusterCoordinator:
             {shard_id: ("drop", {"name": name}) for shard_id in shard_ids},
             failure_types=(ShardUnavailableError, UnknownAttributeError),
         )
+        self._discard_views(name)
         # A replica that already lacks the attribute is neither dropped here
         # nor unreached.
         unreached = sorted(
@@ -641,8 +828,7 @@ class ClusterCoordinator:
             # the revived zombie copy of a pinned/partitioned attribute.
             self._router.unpartition(name)
             self._router.unassign(name)
-            with self._merge_guard:
-                self._merge_cache.pop(name, None)
+            with self._views_lock:
                 self._merge_locks.pop(name, None)
             with self._stale_lock:
                 self._stale = {entry for entry in self._stale if entry[0] != name}
@@ -686,10 +872,9 @@ class ClusterCoordinator:
         try:
             if not insert and not delete and not self._router.is_partitioned(name):
                 # An empty write touches no store, so only an explicit check
-                # tells an unknown attribute from an idle one.
-                self._call_with_failover(
-                    name, self._router.replicas_for(name), "generation", {"name": name}
-                )
+                # tells an unknown attribute from an idle one: a held view,
+                # or a ``published`` fetch.
+                self._view(name)
             counts, failed = self._write({name: (insert, delete)})
         finally:
             self._end_apply(name)
@@ -765,33 +950,33 @@ class ClusterCoordinator:
     def query(self, name: str, queries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
         """Evaluate a consistent batch of estimate queries.
 
-        Unpartitioned attributes delegate to the home shard's batched query
-        (served there from the published snapshot -- no torn estimates, no
-        lock), failing over to the next live replica when the home shard is
-        unreachable; with ``replica_reads`` the read rotates across the
-        fresh replicas instead of always landing on the primary.
-        Partitioned attributes are served from the merged global histogram,
-        an immutable snapshot, so the whole batch is trivially consistent;
-        the returned ``generation`` is the piece generation sum the merge
-        was keyed on.
+        The batch runs against one held view (unpartitioned attributes) or
+        one merged histogram (partitioned ones), both immutable, so the
+        results describe a single state.  A view that fails the version rule
+        is fetched again first, primary first with failover.  ``shard`` (or,
+        merged, ``shards`` per piece) names the replica whose view answered;
+        a merged ``generation`` is the sum of the piece generations, reported
+        only.
         """
         if not self._router.is_partitioned(name):
-            shard_id, result = self._call_with_failover(
-                name,
-                self._router.replicas_for(name),
-                "query",
-                {"name": name, "queries": list(queries)},
-                spread=self._replica_reads,
-            )
-            result["shard"] = shard_id
-            return result
-        generation_sum, merged = self._merged_entry(name)
-        return {
-            "generation": generation_sum,
-            "results": evaluate_queries(merged, queries),
-            "merged": True,
-            "buckets": merged.bucket_count,
-        }
+            view, fetched = self._view(name)
+            response = {
+                "generation": view.generation,
+                "results": evaluate_queries(view.histogram, queries),
+                "shard": view.shard_id,
+            }
+        else:
+            entry, fetched = self._merged_entry(name)
+            response = {
+                "generation": entry.generation_sum,
+                "results": evaluate_queries(entry.merged, queries),
+                "merged": True,
+                "buckets": entry.merged.bucket_count,
+                "shards": {piece: view.shard_id for piece, view in entry.views.items()},
+            }
+        if self._m_view_reads is not None:
+            self._m_view_reads.inc(outcome="fetched" if fetched else "held")
+        return response
 
     def estimate_range(self, name: str, low: float, high: float) -> float:
         """Estimated number of values of ``name`` in the closed range [low, high]."""
@@ -814,7 +999,7 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     def merged_histogram(self, name: str) -> Histogram:
         """The merged global histogram of a partitioned attribute (cached)."""
-        return self._merged_entry(name)[1]
+        return self._merged_entry(name)[0].merged
 
     def _partition_of(self, name: str) -> RangePartition:
         partition = self._router.partition_for(name)
@@ -823,14 +1008,9 @@ class ClusterCoordinator:
         return partition
 
     def _gather_pieces(
-        self,
-        name: str,
-        piece_replicas: Mapping[str, tuple[str, ...]],
-        op: str,
-        *,
-        spread: bool = False,
-    ) -> dict[str, Any]:
-        """Run ``op`` once per piece, keyed by the piece's primary shard id.
+        self, name: str, piece_replicas: Mapping[str, tuple[str, ...]], op: str
+    ) -> dict[str, tuple[str, Any]]:
+        """Run ``op`` once per piece; ``{piece_id: (shard_id, result)}``.
 
         One scatter asks every piece's first-choice replica.  The router
         never puts two pieces of an attribute on one shard, so the legs
@@ -838,7 +1018,7 @@ class ClusterCoordinator:
         :meth:`_call_with_failover` over its other replicas.
         """
         orders = {
-            piece_id: self._failover_order(name, replicas, spread=spread)
+            piece_id: self._failover_order(name, replicas)
             for piece_id, replicas in piece_replicas.items()
         }
         first = {order[0]: piece_id for piece_id, order in orders.items()}
@@ -846,117 +1026,87 @@ class ClusterCoordinator:
             {shard_id: (op, {"name": name}) for shard_id in first},
             failure_types=(ShardUnavailableError, UnknownAttributeError),
         )
-        gathered: dict[str, Any] = {}
+        gathered: dict[str, tuple[str, Any]] = {}
         for shard_id, piece_id in first.items():
             if shard_id in results:
-                gathered[piece_id] = results[shard_id]
+                gathered[piece_id] = (shard_id, results[shard_id])
             else:
                 gathered[piece_id] = self._call_with_failover(
                     name, orders[piece_id], op, {"name": name}, tried=(shard_id, errors[shard_id])
-                )[1]
+                )
         return gathered
 
-    def _piece_generations(
-        self, name: str, piece_replicas: Mapping[str, tuple[str, ...]]
-    ) -> dict[str, int]:
-        """Probe every piece's generation counter (the merge-cache key).
-
-        The per-shard probe is a lock-free published-reference read, and in
-        read-replica mode the probes rotate across fresh replicas like any
-        other estimate read.
-        """
-        return {
-            piece_id: int(value)
-            for piece_id, value in self._gather_pieces(
-                name, piece_replicas, "generation", spread=self._replica_reads
-            ).items()
-        }
-
     def _merge_lock(self, name: str) -> threading.Lock:
-        with self._merge_guard:
+        with self._views_lock:
             lock = self._merge_locks.get(name)
             if lock is None:
                 lock = self._merge_locks[name] = threading.Lock()
             return lock
 
-    def _merged_entry(self, name: str) -> tuple[int, UnionHistogram]:
-        """The cached merged histogram, refreshed incrementally after writes.
+    def _merged_entry(self, name: str) -> tuple[_MergedEntry, bool]:
+        """The merged histogram, and whether this read fetched a piece.
 
-        The hit check compares the cached key against the sum of the piece
-        shards' generation counters, read **before** the snapshots: a write
-        landing between the generation read and a snapshot makes the cached
-        entry *fresher* than its key claims, so the very next query
-        observes a larger sum and rebuilds -- the safe direction.  The key
-        a rebuilt entry is cached under comes from **the snapshots
-        themselves** (each snapshot payload carries its replica's
-        generation): under replica failover the generation probe and the
-        snapshot fetch may be served by *different* replicas, and keying a
-        stale follower's snapshot under the fresh primary's generation
-        would pin an under-counting merge until the next write.  Keyed on
-        its own snapshots, the entry stops matching as soon as the fresher
-        replica answers the probe again.
-
-        A refresh is *incremental*: the cache retains each piece's
-        deserialised member histogram together with the generation its
-        snapshot reported, and only pieces whose freshly probed generation
-        differs from that retained per-piece generation are re-fetched.
-        The retained members are immutable inputs (superimpose only reads
-        ``buckets()``), and an unchanged generation means an identical
-        snapshot, so the incremental superimpose + reduce is bit-identical
-        to a from-scratch rebuild over full snapshots -- the probe-before-
-        snapshot direction holds per piece exactly as in the all-piece case.
-
-        The moved pieces are fetched **before** the attribute's merge lock is
-        taken: shard I/O under that lock would stall every reader of the
-        attribute behind one slow or dead shard.  The lock guards only the
-        re-check, the merge and the install.  Two readers may then fetch
-        concurrently; each entry is keyed on its own snapshots, so whichever
-        installs last is still honest about its freshness.
+        Pieces whose held view fails the version rule are fetched with one
+        pipelined ``published`` scatter, **before** the attribute's merge
+        lock is taken: shard I/O under that lock would stall every reader of
+        the attribute behind one slow or dead shard.  Under the lock the
+        entry is checked again -- a reader that fetched the same pieces may
+        have merged them already -- and otherwise merged from the fetched
+        views and the held ones.  Merging views that never change is
+        bit-identical to a from-scratch superimpose + reduce.  The entry is
+        held only if every fetched view is (see :meth:`_view`).
         """
         partition = self._partition_of(name)
         piece_ids = partition.piece_shard_ids
         piece_replicas = self._router.partition_replicas(name)
-        generations = self._piece_generations(name, piece_replicas)
-        generation_sum = sum(generations.values())
-        cached = self._merge_cache.get(name)
-        if cached is not None and cached[0] == generation_sum:
-            return cached[0], cached[1]
-        retained = cached[2] if cached is not None else {}
+        entry = self._merge_cache.get(name)
+        views = dict(entry.views) if entry is not None else {}
         moved = {
             piece_id: piece_replicas[piece_id]
             for piece_id in piece_ids
-            if piece_id not in retained or retained[piece_id][0] != generations[piece_id]
+            if piece_id not in views
+            or not self._holds(name, views[piece_id], piece_replicas[piece_id])
         }
-        snapshots = self._gather_pieces(name, moved, "snapshot") if moved else {}
+        if entry is not None and not moved:
+            return entry, False
+        # Tokens and epoch first (REP005), as in _view.
+        tokens = {
+            shard_id: self.shard(shard_id).incarnation
+            for replicas in moved.values()
+            for shard_id in replicas
+        }
+        epoch = self._epochs.get(name, 0)
+        holdable = True
+        for piece_id, (shard_id, reply) in self._gather_pieces(
+            name, moved, "published"
+        ).items():
+            views[piece_id] = _received_view(shard_id, reply)
+            holdable = holdable and views[piece_id].incarnation == tokens[shard_id]
         with self._merge_lock(name):
-            cached = self._merge_cache.get(name)
-            if cached is not None and cached[0] == generation_sum:
-                return cached[0], cached[1]
-            piece_states: dict[str, tuple[int, Histogram]] = {}
-            for piece_id in piece_ids:
-                if piece_id in snapshots:
-                    snapshot = snapshots[piece_id]
-                    piece_states[piece_id] = (
-                        int(snapshot.get("generation", 0)),
-                        histogram_from_dict(dict(snapshot["histogram"])),
-                    )
-                else:
-                    piece_states[piece_id] = retained[piece_id]
-            merged = reduce_segments(
-                superimpose([piece_states[piece_id][1] for piece_id in piece_ids]),
-                self._global_buckets,
-                value_unit=self._value_unit,
+            current = self._merge_cache.get(name)
+            if current is not None and all(
+                piece_id in current.views
+                and self._holds(name, current.views[piece_id], piece_replicas[piece_id])
+                for piece_id in piece_ids
+            ):
+                return current, True
+            rebuilt = _MergedEntry(
+                {piece_id: views[piece_id] for piece_id in piece_ids},
+                reduce_segments(
+                    superimpose([views[piece_id].histogram for piece_id in piece_ids]),
+                    self._global_buckets,
+                    value_unit=self._value_unit,
+                ),
             )
-            snapshot_generation_sum = sum(
-                state[0] for state in piece_states.values()
-            )
-            entry = (snapshot_generation_sum, merged, piece_states)
-            # Insert under the guard (stats() iterates the cache under it),
-            # and never resurrect an entry a concurrent drop() just removed.
-            with self._merge_guard:
-                if self._router.partition_for(name) is not None:
-                    self._merge_cache[name] = entry
-            return entry[0], entry[1]
+            if holdable:
+                with self._views_lock:
+                    if (
+                        self._epochs.get(name, 0) == epoch
+                        and self._router.partition_for(name) is not None
+                        and all([self._adopt(name, views[piece_id]) for piece_id in moved])
+                    ):
+                        self._merge_cache[name] = rebuilt
+            return rebuilt, True
 
     # ------------------------------------------------------------------
     # snapshot / restore
@@ -988,6 +1138,7 @@ class ClusterCoordinator:
             )
         replicas = self._router.replicas_for(name)
         restore_leg = ("restore", {"name": name, "snapshot": dict(snapshot)})
+        self._discard_views(name)
         restored, _ = self._fan_out_replicated(
             [(name, replicas)], {shard_id: [restore_leg] for shard_id in replicas}
         )
@@ -1124,8 +1275,10 @@ class ClusterCoordinator:
             self._abort_move(name)
             with contextlib.suppress(ShardUnavailableError, UnknownAttributeError):
                 target.drop(name)
+            self._discard_views(name)
             raise
         source.drop(name)
+        self._discard_views(name)
         return {
             "attribute": name,
             "from": source_id,
@@ -1228,7 +1381,10 @@ class ClusterCoordinator:
                         raise
         except Exception:
             self._abort_move(name)
+            self._discard_views(name)
             raise
+        # The restore moved the target to a version no reply reported.
+        self._discard_views(name)
         return source_id
 
     def resync(self, shard_id: str) -> dict[str, Any]:
@@ -1280,15 +1436,18 @@ class ClusterCoordinator:
                 result["replicas"] = list(replicas)
             return result
         piece_replicas = self._router.partition_replicas(name)
-        pieces = self._gather_pieces(name, piece_replicas, "stats")
+        pieces = {
+            piece_id: stats
+            for piece_id, (_, stats) in self._gather_pieces(name, piece_replicas, "stats").items()
+        }
         cached = self._merge_cache.get(name)
         result = {
             "name": name,
             "partitioned": True,
             "partition": partition.to_dict(),
             "pieces": pieces,
-            "merged_generation_sum": None if cached is None else cached[0],
-            "merged_buckets": None if cached is None else cached[1].bucket_count,
+            "merged_generation_sum": None if cached is None else cached.generation_sum,
+            "merged_buckets": None if cached is None else cached.merged.bucket_count,
         }
         if self._router.replication_factor > 1:
             result["replicas"] = {
@@ -1320,9 +1479,9 @@ class ClusterCoordinator:
                 "health": {"status": "unavailable", "error": str(error)},
                 "attributes": [],
             }
-        with self._merge_guard:
+        with self._views_lock:
             merge_cache = {
-                name: {"generation_sum": entry[0], "buckets": entry[1].bucket_count}
+                name: {"generation_sum": entry.generation_sum, "buckets": entry.merged.bucket_count}
                 for name, entry in self._merge_cache.items()
             }
         return {
@@ -1349,6 +1508,26 @@ def _stream_legs(items: Mapping[str, Mapping[str, list[float]]]) -> list[dict[st
         legs[-1][name] = values
         size += count
     return legs
+
+
+def _reply_versions(
+    args: Mapping[str, Any], result: Any
+) -> dict[str, tuple[str, int]]:
+    """The versions one write reply reports, by attribute name.
+
+    ``ingest_many`` replies list them under ``versions``; ``create`` and
+    ``restore`` replies are the attribute's stats with its incarnation.
+    """
+    if not isinstance(result, Mapping):
+        return {}
+    if "versions" in result:
+        return {
+            name: (str(version[0]), int(version[1]))
+            for name, version in result["versions"].items()
+        }
+    if "incarnation" in result:
+        return {args["name"]: (str(result["incarnation"]), int(result["generation"]))}
+    return {}
 
 
 def _first_result(results: Mapping[str, list[Any]], replicas: Sequence[str]) -> Any:

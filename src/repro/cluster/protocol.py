@@ -5,8 +5,12 @@ The cluster coordinator talks to every backing shard through
 keyword-passable JSON values and returns plain dictionaries, so a call is
 exactly one ``(op, args)`` request on the wire).  Values reach a shard one
 way: :meth:`ShardBackend.ingest_many`, an ordered stream of per-attribute
-inserts and deletes that stops at its first failure.  Two implementations
-cover the deployment spectrum:
+inserts and deletes that stops at its first failure.  Estimates leave a
+shard one way too: :meth:`ShardBackend.published` ships an attribute's
+published view with its version ``(incarnation, generation)``, and every
+write reply carries the versions it produced, so the coordinator can answer
+estimates from views it holds (see :mod:`repro.cluster.coordinator`).  Two
+implementations cover the deployment spectrum:
 
 * :class:`LocalShard` wraps an in-process
   :class:`~repro.service.store.HistogramStore` -- zero serialisation, used by
@@ -40,6 +44,11 @@ WRITE_OPS = frozenset({"create", "drop", "ingest_many", "restore"})
 class ShardBackend(abc.ABC):
     """Uniform protocol the coordinator uses against one backing shard."""
 
+    #: Token of the store behind this shard, read with no I/O; ``None`` when
+    #: the shard does not know it, and the coordinator then never holds a
+    #: view of this shard.
+    incarnation: str | None = None
+
     def __init__(self, shard_id: str) -> None:
         if not shard_id or not isinstance(shard_id, str):
             raise ConfigurationError("shard_id must be a non-empty string")
@@ -70,20 +79,30 @@ class ShardBackend(abc.ABC):
 
     # -- writes ---------------------------------------------------------
     @abc.abstractmethod
-    def ingest_many(self, items: Mapping[str, Mapping[str, Sequence[float]]]) -> dict[str, int]:
+    def ingest_many(self, items: Mapping[str, Mapping[str, Sequence[float]]]) -> dict[str, Any]:
         """Apply several attributes' batches in order; returns summed counts.
 
         ``items`` maps each attribute name to its ``insert`` / ``delete``
         lists; each attribute's inserts apply before its deletes.  The
         stream stops at the first failing attribute and raises: the
         attributes before it have applied, so the caller must treat the
-        whole stream as suspect.
+        whole stream as suspect.  The reply is ``{"inserted", "deleted",
+        "versions"}``, where ``versions`` maps every attribute the stream
+        changed to its ``[incarnation, generation]`` after the change.
         """
 
     # -- reads ----------------------------------------------------------
     @abc.abstractmethod
     def query(self, name: str, queries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
         """Evaluate a query batch under the shard's consistent-read primitive."""
+
+    @abc.abstractmethod
+    def published(self, name: str) -> dict[str, Any]:
+        """The attribute's published view: ``{"incarnation", "generation", "view"}``.
+
+        ``view`` is the wire form of a
+        :class:`~repro.core.segment_view.SegmentView`; the read takes no lock.
+        """
 
     @abc.abstractmethod
     def stats(self, name: str) -> dict[str, Any]:
@@ -107,10 +126,6 @@ class ShardBackend(abc.ABC):
     def health(self) -> dict[str, Any]:
         """Liveness probe."""
 
-    def generation(self, name: str) -> int:
-        """The attribute's generation counter (merge-cache key ingredient)."""
-        return int(self.stats(name)["generation"])
-
     # -- the shard's own process ------------------------------------------
     def metrics(self) -> str:
         """A shard's own exposition; empty when it reports into its caller's registry."""
@@ -131,6 +146,10 @@ class LocalShard(ShardBackend):
         super().__init__(shard_id)
         self.store = store if store is not None else HistogramStore()
 
+    @property
+    def incarnation(self) -> str:
+        return self.store.incarnation
+
     def create(
         self,
         name: str,
@@ -142,7 +161,7 @@ class LocalShard(ShardBackend):
         seed: int = 0,
         exist_ok: bool = False,
     ) -> dict[str, Any]:
-        return self.store.create(
+        stats = self.store.create(
             name,
             kind,
             memory_kb=memory_kb,
@@ -150,7 +169,8 @@ class LocalShard(ShardBackend):
             disk_factor=disk_factor,
             seed=seed,
             exist_ok=exist_ok,
-        ).to_dict()
+        )
+        return {**stats.to_dict(), "incarnation": self.store.incarnation}
 
     def drop(self, name: str) -> None:
         self.store.drop(name)
@@ -158,25 +178,25 @@ class LocalShard(ShardBackend):
     def names(self) -> list[str]:
         return self.store.names()
 
-    def ingest_many(self, items: Mapping[str, Mapping[str, Sequence[float]]]) -> dict[str, int]:
-        applied = {"inserted": 0, "deleted": 0}
+    def ingest_many(self, items: Mapping[str, Mapping[str, Sequence[float]]]) -> dict[str, Any]:
+        inserted = deleted = 0
+        versions: dict[str, list[Any]] = {}
         for name, values in items.items():
             insert = values.get("insert", ())
             delete = values.get("delete", ())
             if len(insert):
-                applied["inserted"] += self.store.insert(name, insert)
+                inserted += self.store.insert(name, insert)
             if len(delete):
-                applied["deleted"] += self.store.delete(name, delete)
-        return applied
+                deleted += self.store.delete(name, delete)
+            if len(insert) or len(delete):
+                versions[name] = [self.store.incarnation, self.store.generation(name)]
+        return {"inserted": inserted, "deleted": deleted, "versions": versions}
 
     def query(self, name: str, queries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
         return self.store.query(name, queries)
 
-    def generation(self, name: str) -> int:
-        # Lock-free: the store reads its published (generation, snapshot)
-        # reference, so the coordinator's merge-cache probes never contend
-        # with this shard's writers.
-        return self.store.generation(name)
+    def published(self, name: str) -> dict[str, Any]:
+        return self.store.published(name)
 
     def stats(self, name: str) -> dict[str, Any]:
         return self.store.stats(name).to_dict()
@@ -188,7 +208,8 @@ class LocalShard(ShardBackend):
         return self.store.snapshot(name)
 
     def restore(self, name: str, snapshot: Mapping[str, Any]) -> dict[str, Any]:
-        return self.store.restore(name, snapshot).to_dict()
+        stats = self.store.restore(name, snapshot)
+        return {**stats.to_dict(), "incarnation": self.store.incarnation}
 
     def health(self) -> dict[str, Any]:
         return {"status": "ok", "attributes": len(self.store)}

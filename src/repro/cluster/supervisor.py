@@ -10,12 +10,16 @@ Lifecycle
 ---------
 
 * :meth:`ShardSupervisor.start` launches ``python -m repro.cluster.worker``
-  once per shard, waits for each worker's readiness line (which carries the
-  ephemeral port it bound), verifies liveness with a transport ``ping`` and
-  returns one :class:`~repro.cluster.transport.ProcessShard` per worker.
+  once per shard, all at once, waits for each worker's readiness line (which
+  carries the ephemeral port it bound and its store's incarnation token),
+  verifies liveness with a transport ``ping`` and returns one
+  :class:`~repro.cluster.transport.ProcessShard` per worker, its
+  ``incarnation`` set from that line.
 * A monitor thread polls the fleet.  A worker that dies unexpectedly is
   respawned **on the same port** (so the coordinator's persistent clients
-  reconnect transparently), at most ``max_restarts`` times per shard.  A
+  reconnect transparently), at most ``max_restarts`` times per shard, and
+  its ``ProcessShard`` takes the new worker's incarnation: that change is
+  what retires every view the coordinator holds of the dead worker.  A
   restarted worker recovers whatever its WAL holds -- without a WAL it comes
   back empty -- and in a replicated cluster the operator (or a test) then
   heals it with ``resync``; the supervisor never invents data.
@@ -50,6 +54,7 @@ class _ShardHandle:
     process: subprocess.Popen
     port: int
     wal_dir: Path | None
+    incarnation: str
     restarts: int = 0
     events: list[str] = field(default_factory=list)
 
@@ -116,6 +121,7 @@ class ShardSupervisor:
         self._profile = bool(profile)
         self._handles: dict[str, _ShardHandle] = {}
         self._clients: dict[str, BinaryShardClient] = {}
+        self._shards: dict[str, ProcessShard] = {}
         self._lock = threading.Lock()
         self._closing = threading.Event()
         self._monitor: threading.Thread | None = None
@@ -164,14 +170,14 @@ class ShardSupervisor:
             env=self._worker_env(),
         )
         try:
-            bound_port = self._await_ready(shard_id, process)
+            bound_port, incarnation = self._await_ready(shard_id, process)
         except BaseException:  # an interrupt mid-startup must not leak the worker
             process.kill()
             process.wait()
             raise
-        return _ShardHandle(shard_id, process, bound_port, wal_dir)
+        return _ShardHandle(shard_id, process, bound_port, wal_dir, incarnation)
 
-    def _await_ready(self, shard_id: str, process: subprocess.Popen) -> int:
+    def _await_ready(self, shard_id: str, process: subprocess.Popen) -> tuple[int, str]:
         assert process.stdout is not None
         deadline = time.monotonic() + self._startup_timeout
         result: dict[str, Any] = {}
@@ -199,22 +205,55 @@ class ShardSupervisor:
             )
         fields = _parse_ready_line(line)
         try:
-            return int(fields["port"])
+            return int(fields["port"]), fields["incarnation"]
         except (KeyError, ValueError):
             raise ClusterError(
                 f"shard worker {shard_id!r} readiness line is malformed: {line!r}"
             ) from None
 
     def start(self) -> list[ProcessShard]:
-        """Spawn the fleet; returns one :class:`ProcessShard` per worker."""
+        """Spawn the fleet; returns one :class:`ProcessShard` per worker.
+
+        Every worker starts at once, on one short-lived thread each; the
+        pings begin once all of them reported ready.  If any worker fails to
+        start, every worker is stopped.
+        """
         if self._started:
             raise ClusterError("supervisor already started")
         self._started = True
+        shard_ids = [f"shard-{index}" for index in range(self._n_shards)]
+        errors: list[BaseException] = []
+
+        def spawn(shard_id: str) -> None:
+            try:
+                handle = self._spawn(shard_id, port=0)
+            except BaseException as error:
+                errors.append(error)
+                return
+            with self._lock:
+                if not self._closing.is_set():
+                    self._handles[shard_id] = handle
+                    return
+            # The start was abandoned while this worker booted.
+            handle.process.kill()
+            handle.process.wait()
+
         shards: list[ProcessShard] = []
         try:
-            for index in range(self._n_shards):
-                shard_id = f"shard-{index}"
-                handle = self._spawn(shard_id, port=0)
+            spawners = [
+                threading.Thread(target=spawn, args=(shard_id,), name="repro-shard-spawn")
+                for shard_id in shard_ids
+            ]
+            for thread in spawners:
+                thread.start()
+            for thread in spawners:
+                thread.join()
+            if errors:
+                raise errors[0]
+            with self._lock:  # shard order, not the order the workers came up in
+                self._handles = {shard_id: self._handles[shard_id] for shard_id in shard_ids}
+                handles = list(self._handles.values())
+            for handle in handles:
                 client = BinaryShardClient(
                     self._host,
                     handle.port,
@@ -222,11 +261,13 @@ class ShardSupervisor:
                     retries=self._client_retries,
                     retry_backoff=self._client_retry_backoff,
                 )
+                shard = ProcessShard(handle.shard_id, client)
+                shard.incarnation = handle.incarnation
                 with self._lock:
-                    self._handles[shard_id] = handle
-                    self._clients[shard_id] = client
+                    self._clients[handle.shard_id] = client
+                    self._shards[handle.shard_id] = shard
                 client.call("ping")  # liveness fence before the fleet is handed out
-                shards.append(ProcessShard(shard_id, client))
+                shards.append(shard)
         except BaseException:  # Ctrl-C while the fleet starts stops what already runs
             self.close()
             raise
@@ -267,6 +308,9 @@ class ShardSupervisor:
                         replacement.process.wait()
                         return
                     self._handles[handle.shard_id] = replacement
+                    # A new store answers on the old port: the new token
+                    # retires every view the coordinator holds of the old one.
+                    self._shards[handle.shard_id].incarnation = replacement.incarnation
 
     # ------------------------------------------------------------------
     # introspection
@@ -293,6 +337,7 @@ class ShardSupervisor:
                     "port": handle.port,
                     "alive": handle.process.poll() is None,
                     "restarts": handle.restarts,
+                    "incarnation": handle.incarnation,
                     "wal_dir": str(handle.wal_dir) if handle.wal_dir else None,
                     "events": list(handle.events),
                 }
@@ -329,6 +374,7 @@ class ShardSupervisor:
             handles = list(self._handles.values())
             self._clients.clear()
             self._handles.clear()
+            self._shards.clear()
         for client in clients:
             client.close()
         for handle in handles:

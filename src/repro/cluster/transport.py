@@ -90,9 +90,10 @@ _MAGIC = b"SB"
 _HEADER = struct.Struct(">2sII")
 
 #: First token of the one readiness line a shard worker process prints on
-#: stdout (``REPRO-SHARD-READY shard=<id> port=<port> pid=<pid>``).  Lives
-#: here -- not in :mod:`repro.cluster.worker` -- so the supervisor never
-#: imports the worker module the child re-executes with ``-m``.
+#: stdout (``REPRO-SHARD-READY shard=<id> port=<port> pid=<pid>
+#: incarnation=<hex>``).  Lives here -- not in :mod:`repro.cluster.worker`
+#: -- so the supervisor never imports the worker module the child
+#: re-executes with ``-m``.
 READY_PREFIX = "REPRO-SHARD-READY"
 
 #: Upper bound on one frame's payload: large enough for any snapshot the
@@ -106,7 +107,7 @@ MAX_PAYLOAD_BYTES = 1 << 28
 #: restore) may have been applied by a shard that lost only its reply --
 #: REP011.
 IDEMPOTENT_OPS = frozenset(
-    {"names", "query", "stats", "stats_all", "snapshot", "health", "generation", "ping",
+    {"names", "query", "stats", "stats_all", "snapshot", "health", "published", "ping",
      "metrics", "profile"}
 )
 
@@ -469,6 +470,11 @@ class ProcessShard(ShardBackend):
     retries) are wrapped into :class:`~repro.exceptions.ShardUnavailableError`
     carrying this shard's id, so callers can tell "shard down" from "bad
     request".
+
+    :attr:`incarnation` is the token the worker printed in its readiness
+    line.  The :class:`~repro.cluster.supervisor.ShardSupervisor` sets it at
+    spawn and again when it respawns the worker; it stays ``None`` on a
+    shard built by hand, whose views the coordinator then never holds.
     """
 
     def __init__(self, shard_id: str, client: BinaryShardClient) -> None:
@@ -524,6 +530,9 @@ class ProcessShard(ShardBackend):
     def query(self, name, queries):
         return self._call("query", {"name": name, "queries": list(queries)})
 
+    def published(self, name: str) -> dict[str, Any]:
+        return self._call("published", {"name": name})
+
     def stats(self, name: str) -> dict[str, Any]:
         return self._call("stats", {"name": name})
 
@@ -538,9 +547,6 @@ class ProcessShard(ShardBackend):
 
     def health(self) -> dict[str, Any]:
         return self._call("health", {})
-
-    def generation(self, name: str) -> int:
-        return int(self._call("generation", {"name": name}))
 
     def metrics(self) -> str:
         return str(self._call("metrics", {}))

@@ -7,12 +7,13 @@ metrics registry, serves it through
 :class:`~repro.cluster.transport.BinaryShardServer`, prints a single
 machine-readable readiness line::
 
-    REPRO-SHARD-READY shard=<id> port=<bound port> pid=<pid>
+    REPRO-SHARD-READY shard=<id> port=<bound port> pid=<pid> incarnation=<hex>
 
 on stdout, and then runs until SIGTERM/SIGINT (clean shutdown: transport
 closed, store -- and therefore WAL -- closed) or until its parent kills it.
 The :class:`~repro.cluster.supervisor.ShardSupervisor` parses the readiness
-line to learn the ephemeral port and to fence startup races.  The ``metrics``
+line to learn the ephemeral port and the store's incarnation token, and to
+fence startup races.  The ``metrics``
 op answers the worker's exposition, and ``profile`` its ``--profile`` sampler.
 """
 
@@ -72,7 +73,11 @@ def main(argv=None) -> int:
     )
     server.start()
     host, port = server.address
-    print(f"{READY_PREFIX} shard={args.shard_id} port={port} pid={os.getpid()}", flush=True)
+    print(
+        f"{READY_PREFIX} shard={args.shard_id} port={port} pid={os.getpid()} "
+        f"incarnation={store.incarnation}",
+        flush=True,
+    )
 
     stop = threading.Event()
 

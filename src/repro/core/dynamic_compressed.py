@@ -419,20 +419,25 @@ class DCHistogram(DynamicHistogram):
         self._regular_sumsq += new * new - old * old
 
     def _closest_non_empty(self, value: float) -> tuple[str, float] | None:
-        """Locate the non-empty bucket whose range lies closest to ``value``."""
+        """Locate the non-empty bucket whose range lies closest to ``value``.
+
+        The regular buckets are ranked with one numpy distance pass; ``argmin``
+        keeps the first of equally close buckets, and a singular bucket must
+        be strictly closer to win.
+        """
         array = self._array
-        lefts = array.lefts.tolist()
-        rights = array.rights.tolist()
-        counts = array.sub_counts[:, 0].tolist()
         best: tuple[float, str, float] | None = None
-        for index, count in enumerate(counts):
-            if count <= 0:
-                continue
-            left = lefts[index]
-            right = rights[index]
-            distance = 0.0 if left <= value <= right else min(abs(value - left), abs(value - right))
-            if best is None or distance < best[0]:
-                best = (distance, "regular", float(index))
+        candidates = np.flatnonzero(array.sub_counts[:, 0] > 0)
+        if candidates.size:
+            lefts = array.lefts[candidates]
+            rights = array.rights[candidates]
+            distances = np.where(
+                (lefts <= value) & (value <= rights),
+                0.0,
+                np.minimum(np.abs(value - lefts), np.abs(value - rights)),
+            )
+            closest = int(np.argmin(distances))
+            best = (float(distances[closest]), "regular", float(candidates[closest]))
         for singular_value, count in self._singular.items():
             if count <= 0:
                 continue

@@ -35,7 +35,8 @@ per-bucket loops.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -148,6 +149,48 @@ class SegmentView:
         clone.fast = self.fast
         clone.owned = True
         return clone
+
+    def to_wire(self) -> dict[str, Any]:
+        """JSON-compatible form that :meth:`from_wire` rebuilds identically.
+
+        Ships the total and the (already sorted) point-mass and regular
+        arrays; the widths and prefix sums are derived from them again.
+        ``total`` travels as is: re-summing the counts in another order
+        could change its last bit.
+        """
+        return {
+            "n_buckets": self.n_buckets,
+            "total": self.total,
+            "first_left": self.first_left,
+            "last_right": self.last_right,
+            "pm_values": self.pm_values.tolist(),
+            "pm_counts": self.pm_counts.tolist(),
+            "reg_lefts": self.reg_lefts.tolist(),
+            "reg_rights": self.reg_rights.tolist(),
+            "reg_counts": self.reg_counts.tolist(),
+        }
+
+    @classmethod
+    def from_wire(cls, wire: Mapping[str, Any]) -> SegmentView:
+        """Rebuild an owned view from :meth:`to_wire`, bit for bit."""
+        view = object.__new__(cls)
+        view.n_buckets = int(wire["n_buckets"])
+        view.total = float(wire["total"])
+        view.first_left = float(wire["first_left"])
+        view.last_right = float(wire["last_right"])
+        view.pm_values = np.asarray(wire["pm_values"], dtype=float)
+        view.pm_counts = np.asarray(wire["pm_counts"], dtype=float)
+        view.pm_prefix = np.concatenate(([0.0], np.cumsum(view.pm_counts)))
+        view.reg_lefts = np.asarray(wire["reg_lefts"], dtype=float)
+        view.reg_rights = np.asarray(wire["reg_rights"], dtype=float)
+        view.reg_counts = np.asarray(wire["reg_counts"], dtype=float)
+        view.reg_widths = view.reg_rights - view.reg_lefts
+        view.reg_prefix = np.concatenate(([0.0], np.cumsum(view.reg_counts)))
+        view.fast = bool(
+            view.reg_lefts.size < 2 or np.all(view.reg_lefts[1:] >= view.reg_rights[:-1])
+        )
+        view.owned = True
+        return view
 
     @classmethod
     def from_buckets(cls, buckets: Sequence[Bucket]) -> SegmentView:

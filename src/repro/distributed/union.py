@@ -20,7 +20,7 @@ import numpy as np
 from ..core.base import Histogram
 from ..core.bucket import Bucket
 from ..core.bucket_array import BucketArray
-from ..core.deviation import DeviationMetric, segments_phi
+from ..core.deviation import DeviationMetric, _segment_value_count
 from ..exceptions import ConfigurationError
 from ..static.base import StaticHistogram
 
@@ -149,9 +149,36 @@ def reduce_segments(
     alive = [True] * n_segments
     version = [0] * n_segments
 
+    # A pair's cost is segments_phi over the joined run, evaluated here in the
+    # same float-op order from per-segment value counts computed once: the
+    # heap sees the same costs bit for bit, without a fresh slice of tuples
+    # and a metric dispatch per segment on every push.
+    if value_unit <= 0:
+        raise ConfigurationError(f"value_unit must be positive, got {value_unit}")
+    counts = [count for _, _, count in segments]
+    value_counts = [
+        _segment_value_count(left, right, value_unit) for left, right, _ in segments
+    ]
+    squared = metric is DeviationMetric.VARIANCE
+
     def group_cost(left_group: int, right_group: int) -> float:
-        merged_segments = segments[start_of[left_group] : end_of[right_group] + 1]
-        return segments_phi(merged_segments, metric, value_unit=value_unit)
+        start, stop = start_of[left_group], end_of[right_group] + 1
+        run_counts = counts[start:stop]
+        run_values = value_counts[start:stop]
+        total_values = sum(run_values)
+        total_count = sum(run_counts)
+        if total_values <= 0 or total_count <= 0:
+            return 0.0
+        average_frequency = total_count / total_values
+        phi = 0.0
+        if squared:
+            for count, n_values in zip(run_counts, run_values, strict=True):
+                deviation = count / n_values - average_frequency
+                phi += n_values * (deviation * deviation)
+        else:
+            for count, n_values in zip(run_counts, run_values, strict=True):
+                phi += n_values * abs(count / n_values - average_frequency)
+        return phi
 
     heap: list[tuple[float, int, int, int, int]] = []
     for group in range(n_segments - 1):

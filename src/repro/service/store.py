@@ -28,6 +28,14 @@ clients can detect staleness across snapshot/restore cycles.
 :meth:`HistogramStore.query` pins ONE published snapshot for a whole batch,
 so the result list describes a single histogram state (no torn estimates)
 without any lock acquisition.
+
+Generations count from zero in every store instance, so a generation alone
+cannot tell a recovered or re-created store from the one it replaced.  Each
+instance therefore mints a random :attr:`HistogramStore.incarnation` token;
+``(incarnation, generation)`` is an attribute's *version*, and
+:meth:`HistogramStore.published` hands it out together with the published
+view, which is how the cluster coordinator knows when a view it holds is
+still current.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import secrets
 import threading
 import time
 from contextlib import ExitStack
@@ -251,6 +260,9 @@ class HistogramStore:
         self._durability = durability
         self._wal: WriteAheadLog | None = None
         self._compact_lock = threading.Lock()
+        #: Random token of this store instance; a store recovered from a WAL
+        #: is a new instance and mints a new one.
+        self.incarnation = secrets.token_hex(8)
         # Observability is opt-in and recorded strictly OUTSIDE the registry
         # and attribute locks: metric locks are leaves (repro.obs contract),
         # and keeping updates out of the critical sections keeps the store's
@@ -787,6 +799,25 @@ class HistogramStore:
     def generation(self, name: str) -> int:
         """Publication generation of ``name`` (a single lock-free reference read)."""
         return self._attribute(name).published.generation
+
+    def published(self, name: str) -> dict[str, Any]:
+        """The published view of ``name`` with its version, in wire form.
+
+        Returns ``{"incarnation", "generation", "view"}``, where ``view`` is
+        :meth:`SegmentView.to_wire <repro.core.segment_view.SegmentView.to_wire>`
+        of the published snapshot.  One reference load pins the pair, so the
+        version always names exactly the view shipped with it; no lock is
+        taken.
+        """
+        published = self._attribute(name).published
+        response = {
+            "incarnation": self.incarnation,
+            "generation": published.generation,
+            "view": published.snapshot.segment_view().to_wire(),
+        }
+        if self._m_reads is not None:
+            self._m_reads.inc(1, attribute=name, op="published")
+        return response
 
     def query(self, name: str, queries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
         """Evaluate a batch of estimate queries against ONE histogram state.

@@ -37,6 +37,7 @@ LOCKCHECK_MODULES = frozenset(
         "test_cluster_coordinator",
         "test_cluster_server",
         "test_http_edge",
+        "test_held_views",
     }
 )
 

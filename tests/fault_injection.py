@@ -51,8 +51,9 @@ class FlakyShard(ShardBackend):
         super().__init__(inner.shard_id)
         self.inner = inner
         self.down = False
-        #: Fail only the snapshot path (a shard that serves cheap stats but
-        #: cannot ship full state -- forces snapshot failover in isolation).
+        #: Fail only the paths that ship full state, ``snapshot`` and
+        #: ``published`` (a shard that serves cheap stats but cannot ship its
+        #: histogram -- forces view and snapshot failover in isolation).
         self.snapshot_down = False
         self._fail_before = 0
         self._fail_after = 0
@@ -85,6 +86,10 @@ class FlakyShard(ShardBackend):
     # ------------------------------------------------------------------
     # ShardBackend protocol
     # ------------------------------------------------------------------
+    @property
+    def incarnation(self) -> str | None:
+        return self.inner.incarnation
+
     def create(self, name: str, kind: str = "dc", **kwargs: Any) -> dict[str, Any]:
         self._gate("create")
         return self.inner.create(name, kind, **kwargs)
@@ -97,8 +102,8 @@ class FlakyShard(ShardBackend):
         self._gate("names")
         return self.inner.names()
 
-    def ingest_many(self, items: Mapping[str, Mapping[str, Sequence[float]]]) -> dict[str, int]:
-        applied = {"inserted": 0, "deleted": 0}
+    def ingest_many(self, items: Mapping[str, Mapping[str, Sequence[float]]]) -> dict[str, Any]:
+        applied: dict[str, Any] = {"inserted": 0, "deleted": 0, "versions": {}}
         for name, values in items.items():
             self._gate("ingest_many")
             if self._fail_before > 0:
@@ -110,11 +115,18 @@ class FlakyShard(ShardBackend):
                 raise self._unavailable("scripted failure after apply (response lost)")
             applied["inserted"] += result["inserted"]
             applied["deleted"] += result["deleted"]
+            applied["versions"].update(result["versions"])
         return applied
 
     def query(self, name: str, queries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
         self._gate("query")
         return self.inner.query(name, queries)
+
+    def published(self, name: str) -> dict[str, Any]:
+        self._gate("published")
+        if self.snapshot_down:
+            raise self._unavailable("snapshot path is down")
+        return self.inner.published(name)
 
     def stats(self, name: str) -> dict[str, Any]:
         self._gate("stats")

@@ -222,41 +222,42 @@ class TestRep004NoBuiltinHash:
         assert findings(source, "src/repro/core/base.py", "REP004") == []
 
 
-class TestRep005GenerationBeforeSnapshot:
+class TestRep005IncarnationBeforePublished:
     PATH = "src/repro/cluster/coordinator.py"
 
-    def test_flags_snapshot_before_generation(self):
+    def test_flags_fetch_before_incarnation_read(self):
         source = """
-            def bad(self, shards, name):
-                snaps = [shard.snapshot(name) for shard in shards]
-                key = self._generation_sum(name)
-                return key, snaps
+            def bad(self, name, replicas):
+                shard_id, reply = self._call_with_failover(
+                    name, replicas, "published", {"name": name}
+                )
+                token = self.shard(shard_id).incarnation
+                return token, reply
         """
         assert findings(source, self.PATH, "REP005") == ["REP005"]
 
-    def test_passes_generation_before_snapshot(self):
+    def test_passes_incarnation_read_first(self):
         source = """
-            def good(self, shards, name):
-                key = self._generation_sum(name)
-                snaps = [shard.snapshot(name) for shard in shards]
-                return key, snaps
+            def good(self, name, pieces):
+                tokens = {sid: self.shard(sid).incarnation for ids in pieces.values() for sid in ids}
+                replies = self._gather_pieces(name, pieces, "published")
+                return tokens, replies
         """
         assert findings(source, self.PATH, "REP005") == []
 
-    def test_snapshot_only_function_skipped(self):
+    def test_function_without_fetch_skipped(self):
         source = """
-            def resync(self, shard, name):
-                return shard.snapshot(name)
+            def resync(self, name, sources):
+                return self._call_with_failover(name, sources, "snapshot", {"name": name})
         """
         assert findings(source, self.PATH, "REP005") == []
 
-    def test_flags_snapshot_leg_before_generation_leg(self):
+    def test_scope_is_the_coordinator(self):
         source = """
-            def bad(self, name, pieces):
-                snaps = self._gather_pieces(name, pieces, "snapshot")
-                key = self._gather_pieces(name, pieces, "generation")
-                return key, snaps
+            def published(self, name):
+                return self._call("published", {"name": name})
         """
+        assert findings(source, "src/repro/cluster/transport.py", "REP005") == []
         assert findings(source, self.PATH, "REP005") == ["REP005"]
 
 

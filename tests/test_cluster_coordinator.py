@@ -158,7 +158,14 @@ class TestIngestMany:
         counts = shard.ingest_many(
             {"c": {"insert": [1.0, 2.0, 3.0], "delete": [1.0]}, "a": {"insert": [4.0]}}
         )
-        assert counts == {"inserted": 4, "deleted": 1}
+        # The reply also carries each written attribute's version: c took
+        # an insert and a delete (generation 2), a one insert (generation 1).
+        token = shard.incarnation
+        assert counts == {
+            "inserted": 4,
+            "deleted": 1,
+            "versions": {"c": [token, 2], "a": [token, 1]},
+        }
         assert applied == [("c", "insert"), ("c", "delete"), ("a", "insert")]
 
         applied.clear()

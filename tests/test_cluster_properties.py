@@ -1,15 +1,15 @@
 """Property tests for the cluster merge cache (mirrors the spliced-cache guard).
 
 The coordinator caches the merged global histogram of a range-partitioned
-attribute under the sum of the piece shards' generation counters.  The
-invariant (the cluster analogue of ``test_properties.py``'s spliced-cache
-guard): after ANY interleaving of shard writes and cache-populating queries,
-the histogram the cache serves is bit-identical to a from-scratch
-superimpose + reduce over the current piece snapshots.  Since the merge
-became incremental (per-piece snapshots retained, only moved pieces
-re-fetched), the same property also pins the incremental path: whatever mix
-of full rebuilds, cache hits, and partial re-fetches an interleaving causes,
-the served histogram may never drift from the from-scratch answer.
+attribute together with the piece views it was built from.  The invariant
+(the cluster analogue of ``test_properties.py``'s spliced-cache guard):
+after ANY interleaving of shard writes and cache-populating queries, the
+histogram the cache serves is bit-identical to a from-scratch superimpose +
+reduce over the current piece snapshots.  The merge is incremental (piece
+views retained, only moved pieces re-fetched), so the same property also
+pins the incremental path: whatever mix of full rebuilds, cache hits, and
+partial re-fetches an interleaving causes, the served histogram may never
+drift from the from-scratch answer.
 """
 
 import pytest
@@ -75,15 +75,15 @@ def test_cached_merge_always_equals_from_scratch_rebuild(ops):
 
 
 class CountingShard(LocalShard):
-    """A LocalShard that counts piece-snapshot fetches."""
+    """A LocalShard that counts piece-view fetches (the ``published`` op)."""
 
     def __init__(self, shard_id):
         super().__init__(shard_id)
         self.snapshot_calls = 0
 
-    def snapshot(self, name):
+    def published(self, name):
         self.snapshot_calls += 1
-        return super().snapshot(name)
+        return super().published(name)
 
 
 def test_incremental_merge_refetches_only_moved_pieces():

@@ -193,3 +193,76 @@ class TestInsertMany:
         histogram = DCHistogram(8)
         with pytest.raises(ConfigurationError):
             histogram.insert_many([1.0], repartition_interval=0)
+
+
+def oracle_closest_non_empty(histogram, value):
+    """The spill target the plain way: scan every bucket in Python, keeping
+    the first regular bucket of least distance, then any strictly closer
+    singular bucket."""
+    array = histogram.bucket_array
+    lefts, rights = array.lefts.tolist(), array.rights.tolist()
+    best = None
+    for index, count in enumerate(array.sub_counts[:, 0].tolist()):
+        if count <= 0:
+            continue
+        left, right = lefts[index], rights[index]
+        distance = 0.0 if left <= value <= right else min(abs(value - left), abs(value - right))
+        if best is None or distance < best[0]:
+            best = (distance, "regular", float(index))
+    for singular_value, count in histogram._singular.items():
+        if count > 0 and (best is None or abs(singular_value - value) < best[0]):
+            best = (abs(singular_value - value), "singular", singular_value)
+    return None if best is None else (best[1], best[2])
+
+
+class OracleSpillDC(DCHistogram):
+    """A DC histogram whose deletes spill by the Python scan."""
+
+    def _closest_non_empty(self, value):
+        return oracle_closest_non_empty(self, value)
+
+
+def dc_state(histogram):
+    from repro.persistence import histogram_to_dict
+
+    array = histogram.bucket_array
+    return (
+        array.lefts.tobytes(),
+        array.rights.tobytes(),
+        array.sub_counts.tobytes(),
+        histogram_to_dict(histogram),
+    )
+
+
+class TestClosestNonEmptyOracle:
+    """The numpy spill ranking is pinned to the Python scan it replaced."""
+
+    @staticmethod
+    def clustered(seed, n=3000):
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(0, 1000, 12)
+        values = rng.normal(centers[rng.integers(0, 12, n)], 4.0).round()
+        return np.concatenate([values, np.repeat([250.0, 610.0], 40)])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_target_for_every_probe(self, seed):
+        histogram = DCHistogram(20)
+        values = self.clustered(seed)
+        histogram.insert_many(values.tolist())
+        histogram.delete_many(np.sort(values)[:500].tolist())
+        probes = np.concatenate([np.random.default_rng(seed).uniform(-50, 1050, 200), [250.0, 610.0]])
+        for value in probes.tolist():
+            assert histogram._closest_non_empty(value) == oracle_closest_non_empty(histogram, value)
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_spilling_deletes_end_in_the_same_state(self, seed):
+        values = self.clustered(seed)
+        low_first = np.sort(values)
+        histograms = [DCHistogram(20), OracleSpillDC(20)]
+        for histogram in histograms:
+            histogram.insert_many(values.tolist())
+            histogram.delete_many(low_first[:600].tolist())  # empties the lowest buckets
+            for value in low_first[600:700].tolist():
+                histogram.delete(value)
+        assert histograms[0].repartition_count == histograms[1].repartition_count
+        assert dc_state(histograms[0]) == dc_state(histograms[1])

@@ -1,5 +1,6 @@
 """Unit tests for the shared-nothing global histogram layer (Section 8)."""
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -14,6 +15,9 @@ from repro import (
     reduce_segments,
     superimpose,
 )
+from repro.core.bucket import Bucket
+from repro.core.deviation import DeviationMetric, segments_phi
+from repro.distributed.union import UnionHistogram
 from repro.exceptions import ConfigurationError
 
 
@@ -96,6 +100,58 @@ class TestReduction:
         histogram = SSBMHistogram.build(small_distribution, 8)
         with pytest.raises(ConfigurationError):
             reduce_segments(histogram, 0)
+
+
+def reduce_with_segments_phi(histogram, n_buckets, metric, value_unit):
+    """The reduction the plain way: every pair cost is ``segments_phi`` over a
+    fresh slice of the joined run (the oracle for ``reduce_segments``)."""
+    segments = [(b.left, b.right, b.count) for b in histogram.buckets()]
+    groups = [[index, index] for index in range(len(segments))]  # [start, end]
+    while len(groups) > n_buckets:
+        costs = [
+            segments_phi(
+                segments[groups[i][0] : groups[i + 1][1] + 1], metric, value_unit=value_unit
+            )
+            for i in range(len(groups) - 1)
+        ]
+        best = min(range(len(costs)), key=lambda i: (costs[i], groups[i][0]))
+        groups[best : best + 2] = [[groups[best][0], groups[best + 1][1]]]
+    return [
+        (
+            segments[start][0],
+            max(segment[1] for segment in segments[start : end + 1]),
+            sum(segment[2] for segment in segments[start : end + 1]),
+        )
+        for start, end in groups
+    ]
+
+
+class TestReductionPinnedToSegmentsPhi:
+    """``reduce_segments`` evaluates pair costs from per-segment value counts
+    computed once; the result must equal the ``segments_phi`` path bit for bit."""
+
+    @pytest.mark.parametrize("metric", ["variance", "absolute"])
+    @pytest.mark.parametrize("value_unit", [1.0, 0.25, 3.0])
+    def test_random_segment_sets(self, metric, value_unit):
+        rng = np.random.default_rng([7, int(value_unit * 4), len(metric)])
+        for _ in range(12):
+            n = int(rng.integers(6, 60))
+            borders = np.cumsum(rng.choice([0.0, 0.1, 0.5, 1.0, 2.5, 7.0], size=n + 1))
+            buckets = [
+                Bucket(float(left), float(right), float(count))
+                for left, right, count in zip(
+                    borders[:-1], borders[1:], rng.exponential(20.0, n).round(3), strict=True
+                )
+            ]
+            union = UnionHistogram(buckets)
+            for budget in (1, 3, max(1, n // 4), n - 1):
+                got = [(b.left, b.right, b.count) for b in reduce_segments(
+                    union, budget, metric=metric, value_unit=value_unit
+                ).buckets()]
+                want = reduce_with_segments_phi(
+                    union, budget, DeviationMetric(metric), value_unit
+                )
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestDegenerateClusterInputs:

@@ -246,9 +246,9 @@ class TestTracePropagation:
                 store.close()
 
         cluster_ids = {entry["trace_id"] for entry in cluster_entries}
-        assert {op for _, op, _ in seen} >= {
-            "create", "ingest_many", "query", "generation", "snapshot"
-        }
+        # Estimates are answered from views the coordinator fetched with
+        # ``published``; no read reaches a shard as a query.
+        assert {op for _, op, _ in seen} >= {"create", "ingest_many", "published"}
         # Every shard op was made on behalf of a cluster request: its trace
         # id is one the cluster edge generated, never a fresh one or none.
         assert {trace_id for _, _, trace_id in seen} <= cluster_ids

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import Bucket, DADOHistogram, DCHistogram, DVOHistogram
+from repro.core.segment_view import SegmentView
 from repro.static.base import StaticHistogram
 
 
@@ -229,3 +230,61 @@ class TestDVOInsertMany:
         histogram = DADOHistogram(8)
         with pytest.raises(Exception):
             histogram.insert_many([1.0], repartition_interval=0)
+
+
+# ----------------------------------------------------------------------
+# wire form (the cluster's ``published`` op)
+# ----------------------------------------------------------------------
+class TestWireForm:
+    """``from_wire(to_wire())`` through JSON rebuilds the view bit for bit."""
+
+    ARRAYS = (
+        "pm_values", "pm_counts", "pm_prefix",
+        "reg_lefts", "reg_rights", "reg_counts", "reg_widths", "reg_prefix",
+    )
+
+    @staticmethod
+    def histograms():
+        rng = np.random.default_rng(23)
+        values = np.concatenate(
+            [np.repeat([5.0, 17.0, 40.0], 60), rng.normal(30.0, 9.0, 600).round(1)]
+        )
+        built = []
+        for cls in (DCHistogram, DVOHistogram, DADOHistogram):
+            histogram = cls(12)
+            histogram.insert_many(values.tolist())
+            histogram.delete_many(values[:200].tolist())
+            built.append(histogram)
+        built.append(DCHistogram(12))  # empty
+        return built
+
+    def test_round_trip_is_bit_identical(self):
+        import json
+
+        histograms = self.histograms()
+        assert any(h.published_view().pm_values.size for h in histograms)  # point masses too
+        for histogram in histograms:
+            view = histogram.published_view()
+            rebuilt = SegmentView.from_wire(json.loads(json.dumps(view.to_wire())))
+            for name in self.ARRAYS:
+                assert getattr(rebuilt, name).tobytes() == getattr(view, name).tobytes(), name
+            for name in ("n_buckets", "total", "first_left", "last_right", "fast"):
+                assert getattr(rebuilt, name) == getattr(view, name), name
+            assert rebuilt.owned
+
+    def test_estimates_from_the_rebuilt_view_are_equal(self):
+        from repro.core.base import SnapshotHistogram
+        from repro.service.store import evaluate_queries
+
+        queries = [
+            {"op": "total"},
+            {"op": "range", "low": 10.0, "high": 35.5},
+            {"op": "equal", "value": 17.0},
+            {"op": "cdf", "xs": [0.0, 5.0, 17.0, 29.9, 80.0]},
+            {"op": "selectivity", "low": 4.0, "high": 41.0},
+        ]
+        for histogram in self.histograms():
+            view = histogram.published_view()
+            local = evaluate_queries(SnapshotHistogram(view), queries)
+            shipped = SnapshotHistogram(SegmentView.from_wire(view.to_wire()))
+            assert evaluate_queries(shipped, queries) == local

@@ -262,3 +262,45 @@ class TestValueValidation:
         store.create("age", "dc", memory_kb=0.5)
         with pytest.raises(ConfigurationError):
             store.insert("age", [1.0], repartition_interval=0)
+
+
+class TestVersions:
+    """``(incarnation, generation)`` names one published view of one store."""
+
+    def test_each_store_instance_mints_its_own_incarnation(self):
+        assert HistogramStore().incarnation != HistogramStore().incarnation
+
+    def test_a_recovered_store_mints_a_new_incarnation_outside_its_snapshots(self, tmp_path):
+        from repro.service import DurabilityConfig
+
+        store = HistogramStore(durability=DurabilityConfig(tmp_path))
+        store.create("age", "dc", memory_kb=0.5)
+        store.insert("age", [1.0, 2.0, 3.0])
+        snapshot = store.snapshot("age")
+        store.close()
+        recovered = HistogramStore.recover(tmp_path)
+        assert recovered.incarnation != store.incarnation
+        assert recovered.snapshot("age") == snapshot  # no token in the payload
+        recovered.close()
+
+    def test_published_ships_the_version_and_view_and_counts_the_read(self):
+        from repro.core.base import SnapshotHistogram
+        from repro.core.segment_view import SegmentView
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        store = HistogramStore(metrics=registry)
+        store.create("age", "dc", memory_kb=0.5)
+        store.insert("age", [float(v % 20) for v in range(200)])
+        published = store.published("age")
+        assert (published["incarnation"], published["generation"]) == (store.incarnation, 1)
+        shipped = SnapshotHistogram(SegmentView.from_wire(published["view"]))
+        queries = [{"op": "total"}, {"op": "range", "low": 2.0, "high": 11.5}]
+        assert store.query("age", queries)["results"] == [
+            shipped.total_count,
+            shipped.estimate_range(2.0, 11.5),
+        ]
+        reads = registry.get("repro_store_reads_total")
+        assert reads.value(attribute="age", op="published") == 1
+        with pytest.raises(UnknownAttributeError):
+            store.published("ghost")

@@ -21,7 +21,8 @@ import time
 import pytest
 
 from repro.cluster import ClusterCoordinator, ShardRouter, ShardSupervisor
-from repro.exceptions import ShardUnavailableError
+from repro.exceptions import ShardUnavailableError, UnknownAttributeError
+from repro.obs import MetricsRegistry
 
 pytestmark = pytest.mark.slow
 
@@ -62,6 +63,15 @@ class TestSpawnedFleetBasics:
             assert info["alive"] is True
             assert info["restarts"] == 0
             assert info["pid"] > 0
+
+    def test_every_shard_carries_its_workers_incarnation(self, fleet):
+        supervisor, coordinator = fleet
+        described = supervisor.describe()
+        tokens = {
+            shard_id: coordinator.shard(shard_id).incarnation for shard_id in coordinator.shard_ids
+        }
+        assert tokens == {shard_id: info["incarnation"] for shard_id, info in described.items()}
+        assert len(set(tokens.values())) == len(tokens)
 
     def test_close_leaves_no_processes(self, tmp_path):
         supervisor = ShardSupervisor(2, wal_root=tmp_path / "wal")
@@ -185,5 +195,68 @@ class TestRestartCap:
             info = supervisor.describe()[shard_id]
             assert info["alive"] is False
             assert info["restarts"] == 1
+        finally:
+            supervisor.close()
+
+
+class TestHeldViewsAcrossKillNine:
+    """A respawn changes the worker's incarnation, which retires its views."""
+
+    @staticmethod
+    def wait_for_respawn(supervisor, shard, before):
+        deadline = time.monotonic() + 30.0
+        while shard.incarnation == before:
+            assert time.monotonic() < deadline, "the supervisor never reported a respawn"
+            time.sleep(0.05)
+        supervisor.wait_until_alive(shard.shard_id, timeout=30.0)
+
+    def test_with_a_wal_the_view_is_fetched_once_more_and_the_total_holds(self, tmp_path):
+        supervisor = ShardSupervisor(
+            2, wal_root=tmp_path / "wal", restart=True, poll_interval=0.1
+        )
+        shards = supervisor.start()
+        registry = MetricsRegistry()
+        router = ShardRouter([s.shard_id for s in shards], replication_factor=2)
+        coordinator = ClusterCoordinator(shards, router=router, metrics=registry)
+        try:
+            coordinator.create("age", "dc", memory_kb=0.5)
+            coordinator.ingest("age", insert=_values(1500))
+            assert coordinator.total_count("age") == pytest.approx(1500.0)
+            reads = registry.get("repro_cluster_view_reads_total")
+            fetched = reads.value(outcome="fetched")
+            shard = coordinator.shard(coordinator.router.replicas_for("age")[0])
+            before = shard.incarnation
+
+            os.kill(supervisor.pid(shard.shard_id), signal.SIGKILL)
+            self.wait_for_respawn(supervisor, shard, before)
+            assert coordinator.total_count("age") == pytest.approx(1500.0)
+            assert reads.value(outcome="fetched") == fetched + 1
+            assert coordinator.total_count("age") == pytest.approx(1500.0)
+            assert reads.value(outcome="fetched") == fetched + 1  # held again
+        finally:
+            supervisor.close()
+
+    def test_without_a_wal_no_read_after_the_respawn_uses_the_dead_view(self):
+        supervisor = ShardSupervisor(2, restart=True, poll_interval=0.1)
+        shards = supervisor.start()
+        coordinator = ClusterCoordinator(shards)
+        try:
+            coordinator.create("age", "dc", memory_kb=0.5)
+            coordinator.ingest("age", insert=_values(50))
+            assert coordinator.total_count("age") == pytest.approx(50.0)
+            shard = coordinator.shard(coordinator.router.replicas_for("age")[0])
+            before = shard.incarnation
+
+            os.kill(supervisor.pid(shard.shard_id), signal.SIGKILL)
+            self.wait_for_respawn(supervisor, shard, before)
+            # The new worker holds nothing, and the read says so.
+            with pytest.raises(UnknownAttributeError):
+                coordinator.total_count("age")
+            # Re-seeded behind the coordinator, back at the dead view's
+            # generation: only the incarnation tells the two apart.
+            shard.create("age", "dc", memory_kb=0.5)
+            shard.ingest_many({"age": {"insert": [700.0] * 5}})
+            assert shard.published("age")["generation"] == 1
+            assert coordinator.total_count("age") == pytest.approx(5.0)
         finally:
             supervisor.close()

@@ -154,13 +154,18 @@ class TestRoundTrip:
             k: v for k, v in snapshot.items() if k != "generation"
         }
 
-    def test_ingest_many_applies_a_stream_in_one_frame(self, shard):
+    def test_ingest_many_applies_a_stream_in_one_frame(self, server, shard):
         shard.create("a", "dc", memory_kb=0.5)
         shard.create("b", "dc", memory_kb=0.5)
         counts = shard.ingest_many(
             {"a": {"insert": [1.0, 2.0]}, "b": {"insert": [3.0], "delete": [3.0]}}
         )
-        assert counts == {"inserted": 3, "deleted": 1}
+        token = server.backend.incarnation
+        assert counts == {
+            "inserted": 3,
+            "deleted": 1,
+            "versions": {"a": [token, 1], "b": [token, 2]},
+        }
         with pytest.raises(UnknownAttributeError):
             shard.ingest_many({"b": {"insert": [4.0]}, "ghost": {"insert": [5.0]}})
         assert shard.stats("b")["total_count"] == pytest.approx(1.0)
@@ -172,9 +177,9 @@ class TestRoundTrip:
 
     def test_generation_advances(self, shard):
         shard.create("age", "dc", memory_kb=0.5)
-        before = shard.generation("age")
+        before = shard.published("age")["generation"]
         shard.ingest_many({"age": {"insert": [1.0]}})
-        assert shard.generation("age") > before
+        assert shard.published("age")["generation"] > before
 
     def test_ping_answers_without_backend_dispatch(self, client):
         assert client.call("ping")["status"] == "ok"
