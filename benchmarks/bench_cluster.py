@@ -15,11 +15,12 @@ Measures the sharding layer and records the trajectory in
   measured in.
 
 * **merged-estimate accuracy** -- the hot attribute is range-partitioned over
-  4 shards, queried through the coordinator's merged global histogram
-  (superimpose + reduce, Section 8), and compared window by window against a
-  single unsharded reference store fed the identical stream.  The section
-  records the observed maximum deviation as a fraction of the total count and
-  asserts it stays within the recorded error bound.
+  4 shards, queried through the coordinator's merged global histogram (the
+  Section 8 superimposed union of the piece views, not reduced), and compared
+  window by window against a single unsharded reference store fed the
+  identical stream.  The section records the observed maximum deviation as a
+  fraction of the total count and asserts it stays within the recorded error
+  bound.
 
 Every section checks that each submitted value is conserved.  Run directly:
 ``python benchmarks/bench_cluster.py [--smoke]``.
@@ -78,7 +79,7 @@ def _create_catalog(coordinator: ClusterCoordinator, n_shards: int) -> None:
 def build_cluster(n_shards: int) -> ClusterCoordinator:
     """In-process shards holding the catalog (the accuracy section's cluster)."""
     shards = [LocalShard(f"shard-{index}") for index in range(n_shards)]
-    coordinator = ClusterCoordinator(shards, global_buckets=64)
+    coordinator = ClusterCoordinator(shards)
     _create_catalog(coordinator, n_shards)
     return coordinator
 
@@ -94,7 +95,7 @@ def build_spawned_cluster(n_shards: int, *, metrics=None):
     supervisor = ShardSupervisor(n_shards)
     try:
         shards = supervisor.start()
-        coordinator = ClusterCoordinator(shards, global_buckets=64, metrics=metrics)
+        coordinator = ClusterCoordinator(shards, metrics=metrics)
         _create_catalog(coordinator, n_shards)
     except BaseException:
         supervisor.close()

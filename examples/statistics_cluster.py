@@ -10,9 +10,10 @@ cluster-level behaviour:
    *value-range partitioned* across all shards,
 2. scatter-gather ingest -- per-attribute batches routed to home shards,
    the hot attribute split per value and fanned out concurrently,
-3. merged global estimates for the partitioned attribute, built with the
-   paper's Section 8 union operators (superimpose + reduce) from the piece
-   views the coordinator holds, and rebuilt only for pieces a write moved,
+3. merged global estimates for the partitioned attribute, answered from
+   the superimposed union (the paper's Section 8, without its reduce) of the
+   piece views the coordinator holds -- each merged answer is the sum of the
+   piece answers -- and rebuilt only for pieces a write moved,
 4. a rebalance (snapshot/restore move) and a drain, the cluster's
    operational primitives,
 5. the HTTP face: a :class:`~repro.cluster.server.ClusterServer` driven
@@ -43,7 +44,7 @@ from repro.cluster import ClusterClient, ClusterCoordinator, ClusterServer, Loca
 def main() -> None:
     # 1. Four in-process shards behind one coordinator.
     shards = [LocalShard(f"shard-{index}") for index in range(4)]
-    coordinator = ClusterCoordinator(shards, global_buckets=64)
+    coordinator = ClusterCoordinator(shards)
 
     for name, kind in (("age", "dc"), ("price", "dado"), ("quantity", "dvo")):
         placed = coordinator.create(name, kind, memory_kb=1.0)

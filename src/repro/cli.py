@@ -200,10 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "combine with -a to set kind/memory, else dc:1.0)",
     )
     cluster_parser.add_argument(
-        "--global-buckets", type=int, default=64,
-        help="bucket budget of merged global histograms (default 64)",
-    )
-    cluster_parser.add_argument(
         "--duration", type=float, default=None,
         help="serve for this many seconds then exit (default: run until interrupted)",
     )
@@ -515,7 +511,6 @@ def _command_serve_cluster(args, out) -> int:
         coordinator = ClusterCoordinator(
             shards,
             router=router,
-            global_buckets=args.global_buckets,
             metrics=metrics,
             replica_reads=args.replica_reads,
         )

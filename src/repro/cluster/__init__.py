@@ -1,12 +1,11 @@
 """Sharded statistics cluster: scatter-gather ingest, merged global estimates.
 
 The paper's Section 8 builds a *global* histogram over a shared-nothing union
-of sites by superimposing the per-site histograms and reducing the result
-back to the memory budget.  This package turns that machinery into a serving
-layer: attributes are spread across N backing shards, writes are scattered
-one leg per shard, and global questions about a range-partitioned attribute are
-answered from a merged (superimpose + reduce) histogram cached on the shards'
-generation counters.
+of sites by superimposing the per-site histograms.  This package turns that
+machinery into a serving layer: attributes are spread across N backing
+shards, writes are scattered one leg per shard, and global questions about a
+range-partitioned attribute are answered from the union of the piece views
+the coordinator holds (not reduced to a budget: it holds the views anyway).
 
 * :class:`~repro.cluster.router.ShardRouter` /
   :class:`~repro.cluster.router.RangePartition` -- deterministic placement:
@@ -26,7 +25,7 @@ generation counters.
   (superset of the single-node service API).
 """
 
-from .coordinator import DEFAULT_GLOBAL_BUCKETS, ClusterCoordinator
+from .coordinator import ClusterCoordinator
 from .protocol import LocalShard, ShardBackend
 from .router import RangePartition, ShardRouter, stable_hash
 from .server import ClusterClient, ClusterServer
@@ -34,7 +33,6 @@ from .supervisor import ShardSupervisor
 from .transport import BinaryShardClient, BinaryShardServer, ProcessShard
 
 __all__ = [
-    "DEFAULT_GLOBAL_BUCKETS",
     "ClusterCoordinator",
     "ShardBackend",
     "LocalShard",

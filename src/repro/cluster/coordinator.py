@@ -52,19 +52,16 @@ whether or not the group succeeded elsewhere.  ``create``, ``drop``,
 ``restore``, ``rebalance`` and ``resync`` discard the attribute's views and
 learned versions, and a fetch that raced the discard is not held.
 
-**Merged global estimates.**  Queries against a partitioned attribute cannot
-be answered by any one shard.  The coordinator rebuilds the paper's Section 8
-machinery from the held piece views: it superimposes them
-(:func:`~repro.distributed.union.superimpose` -- lossless) and reduces the
-union back to the configured bucket budget
-(:func:`~repro.distributed.union.reduce_segments`).  The merged histogram is
-cached together with the views it was built from, so it is keyed on the
-per-piece version vector, never on a sum: a read re-fetches only the pieces
-whose view fails the version rule, and re-merges.  The fetch runs outside
+**Merged global estimates.**  A partitioned attribute is answered from the
+superimposed held piece views (:func:`~repro.distributed.union.superimpose`,
+the paper's Section 8 union, not reduced to a budget: the views are held
+anyway), which loses nothing, so a merged ``range``, ``total`` or ``cdf``
+answer is the sum of the piece answers.  The union is cached with its views,
+keyed on the per-piece version vector, never on a sum: a read re-fetches
+only the pieces whose view fails the version rule.  The fetch runs outside
 the attribute's merge lock; the re-check, the merge and the install run
 under it, so two readers that both saw a write merge once.  At rest, the
-cached merge is bit-identical to a from-scratch superimpose + reduce of the
-pieces' published views.
+cached merge is bit-identical to a from-scratch superimpose.
 
 **Invariants.**  One front end per worker fleet: a second coordinator
 writing to the same workers would need the per-read probes back.  A killed
@@ -110,7 +107,7 @@ from typing import Any
 
 from ..core.base import Histogram, SnapshotHistogram
 from ..core.segment_view import SegmentView
-from ..distributed.union import UnionHistogram, reduce_segments, superimpose
+from ..distributed.union import UnionHistogram, superimpose
 from ..exceptions import (
     ClusterError,
     ConfigurationError,
@@ -118,18 +115,15 @@ from ..exceptions import (
     UnknownAttributeError,
 )
 from ..obs.trace import current_trace, maybe_span
-# Unused here since merges read published views; perfbench/layers.py wraps
-# this module attribute, so it stays until a benchmark change drops the pin.
+# Unused here; perfbench/layers.py wraps them, so they stay until it drops the pins.
+from ..distributed.union import reduce_segments  # noqa: F401
 from ..persistence import histogram_from_dict  # noqa: F401
 from ..service.store import evaluate_queries
 from .protocol import ShardBackend
 from .router import RangePartition, ShardRouter
 from .transport import try_pipelined_scatter
 
-__all__ = ["ClusterCoordinator", "DEFAULT_GLOBAL_BUCKETS"]
-
-#: Default bucket budget of merged global histograms (the reduce target).
-DEFAULT_GLOBAL_BUCKETS = 64
+__all__ = ["ClusterCoordinator"]
 
 #: Values one ``ingest_many`` leg carries at most (an attribute is never
 #: split), so a leg stays inside one call's timeout.  A full leg through the
@@ -185,10 +179,6 @@ class ClusterCoordinator:
         The backing members; their ``shard_id``s must be unique.
     router:
         Placement table; built from the shard ids when omitted.
-    global_buckets:
-        Bucket budget merged global histograms are reduced to.
-    value_unit:
-        Domain granularity forwarded to the reduction metric.
     replica_reads:
         Accepted and ignored: estimates are answered from views the
         coordinator holds, so there is no read load to spread over the
@@ -200,15 +190,11 @@ class ClusterCoordinator:
         shards: Sequence[ShardBackend],
         *,
         router: ShardRouter | None = None,
-        global_buckets: int = DEFAULT_GLOBAL_BUCKETS,
-        value_unit: float = 1.0,
         metrics: Any | None = None,
         replica_reads: bool = False,
     ) -> None:
         if not shards:
             raise ConfigurationError("the cluster coordinator needs at least one shard")
-        if global_buckets < 1:
-            raise ConfigurationError(f"global_buckets must be positive, got {global_buckets}")
         self._shards: dict[str, ShardBackend] = {}
         for shard in shards:
             if shard.shard_id in self._shards:
@@ -218,8 +204,6 @@ class ClusterCoordinator:
         for shard_id in self._router.shard_ids:
             if shard_id not in self._shards:
                 raise ConfigurationError(f"router routes to unknown shard {shard_id!r}")
-        self._global_buckets = int(global_buckets)
-        self._value_unit = float(value_unit)
         self._replica_reads = bool(replica_reads)
         # Held views (see "Estimates from held views"): one per unpartitioned
         # attribute, and one per piece inside each merged entry.  The learned
@@ -1053,8 +1037,8 @@ class ClusterCoordinator:
         entry is checked again -- a reader that fetched the same pieces may
         have merged them already -- and otherwise merged from the fetched
         views and the held ones.  Merging views that never change is
-        bit-identical to a from-scratch superimpose + reduce.  The entry is
-        held only if every fetched view is (see :meth:`_view`).
+        bit-identical to a from-scratch superimpose.  The entry is held only
+        if every fetched view is (see :meth:`_view`).
         """
         partition = self._partition_of(name)
         piece_ids = partition.piece_shard_ids
@@ -1092,11 +1076,7 @@ class ClusterCoordinator:
                 return current, True
             rebuilt = _MergedEntry(
                 {piece_id: views[piece_id] for piece_id in piece_ids},
-                reduce_segments(
-                    superimpose([views[piece_id].histogram for piece_id in piece_ids]),
-                    self._global_buckets,
-                    value_unit=self._value_unit,
-                ),
+                superimpose([views[piece_id].histogram for piece_id in piece_ids]),
             )
             if holdable:
                 with self._views_lock:

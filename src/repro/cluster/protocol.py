@@ -93,10 +93,6 @@ class ShardBackend(abc.ABC):
 
     # -- reads ----------------------------------------------------------
     @abc.abstractmethod
-    def query(self, name: str, queries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
-        """Evaluate a query batch under the shard's consistent-read primitive."""
-
-    @abc.abstractmethod
     def published(self, name: str) -> dict[str, Any]:
         """The attribute's published view: ``{"incarnation", "generation", "view"}``.
 
@@ -191,9 +187,6 @@ class LocalShard(ShardBackend):
             if len(insert) or len(delete):
                 versions[name] = [self.store.incarnation, self.store.generation(name)]
         return {"inserted": inserted, "deleted": deleted, "versions": versions}
-
-    def query(self, name: str, queries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
-        return self.store.query(name, queries)
 
     def published(self, name: str) -> dict[str, Any]:
         return self.store.published(name)

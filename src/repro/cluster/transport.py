@@ -107,7 +107,7 @@ MAX_PAYLOAD_BYTES = 1 << 28
 #: restore) may have been applied by a shard that lost only its reply --
 #: REP011.
 IDEMPOTENT_OPS = frozenset(
-    {"names", "query", "stats", "stats_all", "snapshot", "health", "published", "ping",
+    {"names", "stats", "stats_all", "snapshot", "health", "published", "ping",
      "metrics", "profile"}
 )
 
@@ -526,9 +526,6 @@ class ProcessShard(ShardBackend):
     def ingest_many(self, items):
         # One frame for the whole stream; the worker's backend runs the loop.
         return self._call("ingest_many", {"items": dict(items)})
-
-    def query(self, name, queries):
-        return self._call("query", {"name": name, "queries": list(queries)})
 
     def published(self, name: str) -> dict[str, Any]:
         return self._call("published", {"name": name})

@@ -127,14 +127,12 @@ def reduce_segments(
     segments: list[Segment] = [
         (bucket.left, bucket.right, bucket.count) for bucket in histogram.buckets()
     ]
-    # Degenerate inputs a live cluster routinely produces -- handled by
-    # explicit early returns rather than trusting the merge loop's behaviour:
+    # Degenerate inputs return early rather than trusting the merge loop: an
+    # empty union (every site still empty) stays empty, and a budget at or
+    # above the segment count (any single-bucket union) returns a copy.
     if not segments:
-        # An empty union (every shard still empty) reduces to an empty union.
         return UnionHistogram([])
     if len(segments) <= n_buckets:
-        # Target budget at or above the current segment count (which covers
-        # any single-bucket union): nothing to merge, return a copy unchanged.
         return UnionHistogram(
             [Bucket(left, right, count) for left, right, count in segments]
         )

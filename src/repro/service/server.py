@@ -10,12 +10,9 @@ Connections are kept alive (HTTP/1.1) for at most
 :data:`EDGE_IDLE_TIMEOUT_S` of silence: a connection idle that long, or a
 request whose headers or body stall that long, is closed and its thread
 freed.  :meth:`EdgeServer.stop` closes every kept connection before it
-releases the kind's machinery: it stops accepting, shuts the read side of
-each connection (an idle handler reads EOF and exits; one mid-request still
-writes its answer, with ``Connection: close``), waits up to
-:data:`STOP_GRACE_S` for those handlers, and only then runs the kind's
-``_on_stop`` -- on a single node, the ingest pipeline's drain -- so no
-write is acknowledged after the drain.  :class:`StatisticsServer` puts a
+releases the kind's machinery (on a single node, the ingest pipeline's
+drain), so no write is acknowledged after the drain.  Every close is staged,
+so a pipelining client keeps its last answers.  :class:`StatisticsServer` puts a
 :class:`~repro.service.store.HistogramStore` behind it and
 :class:`~repro.cluster.server.ClusterServer` a cluster coordinator; each
 kind adds only its own routes.  No third-party dependencies.
@@ -101,6 +98,9 @@ EDGE_IDLE_TIMEOUT_S = 30.0
 #: request before it releases the kind's machinery regardless.
 STOP_GRACE_S = 5.0
 
+#: Seconds a closing connection lingers at most (see ``_EdgeHTTPServer``).
+CLOSE_LINGER_S = 1.0
+
 #: Seconds between the serving loop's checks of its shutdown flag.
 #: :meth:`EdgeServer.stop` waits for the next check, and the standard
 #: library's 0.5 s default made every stop cost half a second.
@@ -132,9 +132,12 @@ class EdgeHandler(BaseHTTPRequestHandler):
         self._tracked = self.edge._track(self.connection)
 
     def handle(self) -> None:
-        # A connection whose thread starts after stop() began is closed unserved.
+        # A connection whose thread starts after stop() began is shut and closed unserved.
         if self._tracked:
             super().handle()
+        else:
+            with contextlib.suppress(OSError):
+                self.connection.shutdown(socket.SHUT_RD)
 
     def finish(self) -> None:
         try:
@@ -327,6 +330,42 @@ class EdgeHandler(BaseHTTPRequestHandler):
         return inserts, deletes
 
 
+def _unacknowledged(connection: socket.socket) -> bool:
+    """Whether Linux's ``SIOCOUTQ`` (``TIOCOUTQ``'s number) is nonzero; False if unknown."""
+    try:
+        import fcntl
+        import termios
+        return fcntl.ioctl(connection.fileno(), termios.TIOCOUTQ, bytes(4)) != bytes(4)
+    except (ImportError, OSError):
+        return False
+
+
+class _EdgeHTTPServer(ThreadingHTTPServer):
+    """A thread per connection, and a close staged as RFC 9112 §9.6 asks.
+
+    Closing over unread input resets the connection and loses the answers
+    not yet acknowledged, so, within :data:`CLOSE_LINGER_S`: discard input
+    until they are, shut the write side, discard input until the client
+    closes.  They must be acknowledged first because after ``stop()``'s read
+    shutdown, input arriving once the write side is shut resets too.
+    """
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        deadline = time.monotonic() + CLOSE_LINGER_S
+        with contextlib.suppress(OSError):
+            request.settimeout(0.0)
+            while _unacknowledged(request) and time.monotonic() < deadline:
+                with contextlib.suppress(BlockingIOError):
+                    request.recv(65536)
+                time.sleep(0.002)
+            request.shutdown(socket.SHUT_WR)
+            while (remaining := deadline - time.monotonic()) > 0:
+                request.settimeout(remaining)
+                if not request.recv(65536):
+                    break
+        request.close()
+
+
 class EdgeServer:
     """The lifecycle both server kinds share: a threaded HTTP server over a backend.
 
@@ -383,8 +422,7 @@ class EdgeServer:
             interval = DEFAULT_SAMPLE_INTERVAL_S if profile is True else float(profile)
             self.profiler = SamplingProfiler(interval)
         bound = type(f"_Bound{self.handler_class.__name__}", (self.handler_class,), {"edge": self})
-        self._httpd = ThreadingHTTPServer((host, port), bound)
-        self._httpd.daemon_threads = True
+        self._httpd = _EdgeHTTPServer((host, port), bound)
         self._thread: threading.Thread | None = None
         self._started = False
         # Each open connection and the handler thread serving it, so stop()

@@ -118,10 +118,6 @@ class FlakyShard(ShardBackend):
             applied["versions"].update(result["versions"])
         return applied
 
-    def query(self, name: str, queries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
-        self._gate("query")
-        return self.inner.query(name, queries)
-
     def published(self, name: str) -> dict[str, Any]:
         self._gate("published")
         if self.snapshot_down:

@@ -17,15 +17,18 @@ from repro.cluster import (
     ShardRouter,
 )
 from repro.cluster.coordinator import INGEST_LEG_VALUES, _stream_legs
-from repro.distributed.union import reduce_segments, superimpose
+from repro.core.base import SnapshotHistogram
+from repro.core.segment_view import SegmentView
+from repro.distributed.union import superimpose
 from repro.exceptions import ShardUnavailableError
 from repro.persistence import histogram_from_dict
 from repro.service import DurabilityConfig
+from repro.service.store import evaluate_queries
 
 
 @pytest.fixture
 def coordinator():
-    return ClusterCoordinator([LocalShard(f"shard-{i}") for i in range(4)], global_buckets=48)
+    return ClusterCoordinator([LocalShard(f"shard-{i}") for i in range(4)])
 
 
 def ingest_uniform(coordinator, name, n=8000, domain=(0.0, 5000.0), seed=3):
@@ -276,10 +279,6 @@ class TestMergedEstimates:
             single = reference.estimate_range("hot", low, high)
             assert abs(merged - single) <= 0.02 * total
 
-    def test_merged_histogram_respects_bucket_budget(self, coordinator):
-        self.build(coordinator)
-        assert coordinator.merged_histogram("hot").bucket_count <= 48
-
     def test_query_batch_is_served_from_one_merged_snapshot(self, coordinator):
         self.build(coordinator)
         response = coordinator.query(
@@ -309,7 +308,7 @@ class TestMergedEstimates:
             )
             for shard_id in partition.piece_shard_ids
         ]
-        scratch = reduce_segments(superimpose(members), 48)
+        scratch = superimpose(members)
         assert [
             (b.left, b.right, b.count) for b in cached.buckets()
         ] == [(b.left, b.right, b.count) for b in scratch.buckets()]
@@ -326,6 +325,70 @@ class TestMergedEstimates:
         response = coordinator.query("age", [{"op": "total"}])
         assert response["shard"] == coordinator.router.shard_for("age")
         assert response["results"][0] == pytest.approx(2000.0)
+
+
+class TestMergedAnswersAreSumsOfPieceAnswers:
+    """The merged histogram is the lossless union of the piece views, so a
+    merged ``range`` or ``total`` answer, and ``cdf`` x ``total``, is the sum
+    of the pieces' answers on the views that served it (``equal`` is not
+    additive where a piece's bucket closes: ROADMAP records that finding)."""
+
+    @staticmethod
+    def published(coordinator, shard_id):
+        wire = coordinator.shard(shard_id).published("hot")["view"]
+        return SnapshotHistogram(SegmentView.from_wire(wire))
+
+    def queries(self, coordinator, rng):
+        """Totals, CDFs and windows, many of them ending on a piece bucket border."""
+        borders = {0.0, 1000.0}
+        for shard_id in coordinator.shard_ids:
+            for bucket in self.published(coordinator, shard_id).buckets():
+                borders.update((bucket.left, bucket.right))
+        ends = np.sort(np.fromiter(borders, dtype=float))
+        lows = np.concatenate([ends, rng.uniform(-50.0, 1050.0, 40)])
+        highs = np.concatenate([rng.choice(ends, len(ends)), rng.uniform(-50.0, 1050.0, 40)])
+        windows = [
+            {"op": "range", "low": float(min(low, high)), "high": float(max(low, high))}
+            for low, high in zip(lows, highs, strict=True)
+        ]
+        xs = [float(x) for x in np.concatenate([ends, rng.uniform(-50.0, 1050.0, 20)])]
+        return [{"op": "total"}, {"op": "cdf", "xs": xs}, *windows]
+
+    @pytest.mark.parametrize("replication_factor", [1, 2])
+    @pytest.mark.parametrize("boundaries", [[500.0], [300.0, 650.0]])
+    @pytest.mark.parametrize("kind", ["dc", "dvo", "dado"])
+    def test_random_partitioned_history(self, kind, boundaries, replication_factor):
+        rng = np.random.default_rng([len(boundaries), replication_factor, ord(kind[-1])])
+        ids = [f"shard-{i}" for i in range((len(boundaries) + 1) * replication_factor)]
+        router = ShardRouter(ids, replication_factor=replication_factor)
+        coordinator = ClusterCoordinator([LocalShard(shard_id) for shard_id in ids], router=router)
+        coordinator.create("hot", kind, memory_kb=1.0, partition_boundaries=boundaries)
+        live: list[float] = []
+        for _ in range(4):
+            centres = rng.choice(np.arange(25.0, 1000.0, 75.0), 400)
+            inserts = np.concatenate(
+                [centres + rng.integers(-20, 21, 400), rng.uniform(0.0, 1000.0, 200)]
+            ).tolist()
+            coordinator.ingest("hot", insert=inserts)
+            live.extend(inserts)
+            rng.shuffle(live)
+            deletes, live = live[:150], live[150:]
+            coordinator.ingest("hot", delete=deletes)
+            queries = self.queries(coordinator, rng)
+            response = coordinator.query("hot", queries)
+            pieces = [
+                evaluate_queries(self.published(coordinator, shard_id), queries)
+                for shard_id in response["shards"].values()
+            ]
+            total, cdf, *ranges = response["results"]
+            assert total == pytest.approx(sum(piece[0] for piece in pieces), rel=1e-9)
+            assert total == pytest.approx(len(live), rel=1e-9)
+            for index, merged in enumerate(ranges, start=2):
+                expected = sum(piece[index] for piece in pieces)
+                assert merged == pytest.approx(expected, rel=1e-9, abs=1e-9)
+            for index, value in enumerate(cdf):
+                expected = sum(piece[1][index] * piece[0] for piece in pieces)
+                assert value * total == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 class TestRebalance:

@@ -4,8 +4,8 @@ The coordinator caches the merged global histogram of a range-partitioned
 attribute together with the piece views it was built from.  The invariant
 (the cluster analogue of ``test_properties.py``'s spliced-cache guard):
 after ANY interleaving of shard writes and cache-populating queries, the
-histogram the cache serves is bit-identical to a from-scratch superimpose +
-reduce over the current piece snapshots.  The merge is incremental (piece
+histogram the cache serves is bit-identical to a from-scratch superimpose
+over the current piece snapshots.  The merge is incremental (piece
 views retained, only moved pieces re-fetched), so the same property also
 pins the incremental path: whatever mix of full rebuilds, cache hits, and
 partial re-fetches an interleaving causes, the served histogram may never
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterCoordinator, LocalShard
-from repro.distributed.union import reduce_segments, superimpose
+from repro.distributed.union import superimpose
 from repro.persistence import histogram_from_dict
 
 # Hypothesis soak over cluster write interleavings: excluded from the tier-1
@@ -25,7 +25,6 @@ from repro.persistence import histogram_from_dict
 pytestmark = pytest.mark.slow
 
 BOUNDARIES = [100.0, 200.0, 300.0]
-GLOBAL_BUCKETS = 12
 
 # Each write op: an insert batch of values spread anywhere over the domain
 # (so any subset of pieces may be hit), or a single-value delete.
@@ -49,15 +48,13 @@ def from_scratch_merge(coordinator, name):
         histogram_from_dict(dict(coordinator.shard(sid).snapshot(name)["histogram"]))
         for sid in partition.piece_shard_ids
     ]
-    return reduce_segments(superimpose(members), GLOBAL_BUCKETS)
+    return superimpose(members)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(write_op, min_size=1, max_size=12))
 def test_cached_merge_always_equals_from_scratch_rebuild(ops):
-    coordinator = ClusterCoordinator(
-        [LocalShard(f"shard-{i}") for i in range(3)], global_buckets=GLOBAL_BUCKETS
-    )
+    coordinator = ClusterCoordinator([LocalShard(f"shard-{i}") for i in range(3)])
     coordinator.create("hot", "dc", memory_kb=0.5, partition_boundaries=BOUNDARIES)
     inserted = []
     for op in ops:
@@ -89,7 +86,7 @@ class CountingShard(LocalShard):
 def test_incremental_merge_refetches_only_moved_pieces():
     """The merge cache retains unmoved pieces and re-fetches only moved ones."""
     shards = [CountingShard(f"shard-{i}") for i in range(4)]
-    coordinator = ClusterCoordinator(shards, global_buckets=GLOBAL_BUCKETS)
+    coordinator = ClusterCoordinator(shards)
     by_id = {shard.shard_id: shard for shard in shards}
     coordinator.create("hot", "dc", memory_kb=0.5, partition_boundaries=BOUNDARIES)
     coordinator.ingest("hot", insert=[50.0, 150.0, 250.0, 350.0])
@@ -115,7 +112,7 @@ def test_incremental_merge_refetches_only_moved_pieces():
     assert by_id[moved_shard].snapshot_calls == baseline[moved_shard] + 1
 
     # And the incrementally maintained merge is still bit-identical to a
-    # from-scratch superimpose + reduce over current piece snapshots.
+    # from-scratch superimpose over current piece snapshots.
     assert buckets_of(coordinator.merged_histogram("hot")) == buckets_of(
         from_scratch_merge(coordinator, "hot")
     )
@@ -130,9 +127,7 @@ def test_incremental_merge_refetches_only_moved_pieces():
     )
 )
 def test_merged_total_equals_sum_of_piece_totals(values):
-    coordinator = ClusterCoordinator(
-        [LocalShard(f"shard-{i}") for i in range(3)], global_buckets=GLOBAL_BUCKETS
-    )
+    coordinator = ClusterCoordinator([LocalShard(f"shard-{i}") for i in range(3)])
     coordinator.create("hot", "dc", memory_kb=0.5, partition_boundaries=BOUNDARIES)
     if values:
         coordinator.ingest("hot", insert=values)

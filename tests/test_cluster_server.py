@@ -8,9 +8,7 @@ from repro.cluster import ClusterClient, ClusterCoordinator, ClusterServer, Loca
 
 @pytest.fixture
 def cluster():
-    coordinator = ClusterCoordinator(
-        [LocalShard(f"shard-{i}") for i in range(3)], global_buckets=32
-    )
+    coordinator = ClusterCoordinator([LocalShard(f"shard-{i}") for i in range(3)])
     with ClusterServer(coordinator) as server:
         yield server
 

@@ -28,7 +28,7 @@ N_SHARDS = 4
 def cluster():
     shards = [FlakyShard(LocalShard(f"shard-{index}")) for index in range(N_SHARDS)]
     router = ShardRouter([shard.shard_id for shard in shards], replication_factor=2)
-    coordinator = ClusterCoordinator(shards, router=router, global_buckets=32)
+    coordinator = ClusterCoordinator(shards, router=router)
     yield coordinator, {shard.shard_id: shard for shard in shards}
 
 
@@ -342,7 +342,7 @@ class TestResyncFence:
     def gated(self):
         shards = [FlakyShard(GatedRestoreShard(f"shard-{index}")) for index in range(N_SHARDS)]
         router = ShardRouter([shard.shard_id for shard in shards], replication_factor=2)
-        coordinator = ClusterCoordinator(shards, router=router, global_buckets=32)
+        coordinator = ClusterCoordinator(shards, router=router)
         coordinator.create("age", "dc", memory_kb=0.5)
         coordinator.ingest("age", insert=[float(v % 90) for v in range(500)])
         by_id = {shard.shard_id: shard for shard in shards}
@@ -512,7 +512,7 @@ class TestOperationalGuards:
 
     def test_resync_reports_unrecoverable_rf1_attributes(self):
         shards = [FlakyShard(LocalShard(f"shard-{index}")) for index in range(2)]
-        coordinator = ClusterCoordinator(shards, global_buckets=16)  # RF = 1
+        coordinator = ClusterCoordinator(shards)  # RF = 1
         coordinator.create("age", "dc", memory_kb=0.5)
         home = coordinator.router.shard_for("age")
         report = coordinator.resync(home)

@@ -5,9 +5,9 @@ and holds them only while the version rule proves them current (see the
 "Estimates from held views" section of ``repro.cluster.coordinator``).  The
 property every test here checks, one way or another: a served answer equals
 ``evaluate_queries`` on a *fresh* ``published`` view of the replica the
-response names -- or, for a partitioned attribute, a from-scratch merge of
-the pieces' fresh views -- whatever writes, lost replies, store swaps,
-resyncs, restores and re-creates came before it.
+response names -- or, for a partitioned attribute, a from-scratch
+superimpose of the pieces' fresh views -- whatever writes, lost replies,
+store swaps, resyncs, restores and re-creates came before it.
 
 Two searches back the single scenarios: a hypothesis walk over random
 action sequences (slow suite), and a deterministic companion that runs
@@ -29,13 +29,12 @@ from fault_injection import FlakyShard
 from repro.cluster import ClusterCoordinator, LocalShard, ShardRouter
 from repro.core.base import SnapshotHistogram
 from repro.core.segment_view import SegmentView
-from repro.distributed.union import reduce_segments, superimpose
+from repro.distributed.union import superimpose
 from repro.exceptions import ShardUnavailableError, UnknownAttributeError
 from repro.obs import MetricsRegistry
 from repro.service import HistogramStore
 from repro.service.store import evaluate_queries
 
-GLOBAL_BUCKETS = 48
 CUT = 500.0
 QUERIES = [
     {"op": "total"},
@@ -60,7 +59,7 @@ def expected_results(coordinator, by_id, name, response):
     if response.get("merged"):
         pieces = coordinator.router.partition_for(name).piece_shard_ids
         members = [fresh_view(by_id[response["shards"][piece]], name) for piece in pieces]
-        return evaluate_queries(reduce_segments(superimpose(members), GLOBAL_BUCKETS), QUERIES)
+        return evaluate_queries(superimpose(members), QUERIES)
     return evaluate_queries(fresh_view(by_id[response["shard"]], name), QUERIES)
 
 
@@ -85,7 +84,7 @@ class Cluster:
     def __init__(self):
         shards = [FlakyShard(LocalShard(f"shard-{index}")) for index in range(4)]
         router = ShardRouter([shard.shard_id for shard in shards], replication_factor=2)
-        self.coordinator = ClusterCoordinator(shards, router=router, global_buckets=GLOBAL_BUCKETS)
+        self.coordinator = ClusterCoordinator(shards, router=router)
         self.by_id = {shard.shard_id: shard for shard in shards}
         self.step = 0
         self.create_hot()
@@ -194,9 +193,7 @@ class TestVersionRule:
 
     def test_reads_are_held_until_a_write_and_count_as_such(self):
         registry = MetricsRegistry()
-        coordinator = ClusterCoordinator(
-            [LocalShard("s0"), LocalShard("s1")], metrics=registry, global_buckets=GLOBAL_BUCKETS
-        )
+        coordinator = ClusterCoordinator([LocalShard("s0"), LocalShard("s1")], metrics=registry)
         coordinator.create("age", "dc", memory_kb=0.5)
         coordinator.create("hot", "dc", memory_kb=0.5, partition_boundaries=[CUT])
         coordinator.ingest("age", insert=[1.0, 2.0, 3.0])

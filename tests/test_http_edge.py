@@ -93,6 +93,18 @@ class TestEdgeContract:
         assert "Content-Length" in json.loads(body)["error"]
         assert received.count(b"HTTP/1.1 ") == 1
 
+    def test_a_refused_upload_still_gets_its_answer(self, server):
+        # The edge answers before reading the body, then keeps discarding it
+        # until the client has sent it all: closing over the unread rest
+        # would reset the client's send before it reads the answer.
+        connection = http.client.HTTPConnection(*server.address, timeout=5.0)
+        try:
+            body = b" " * (4 << 20)
+            connection.request("POST", "/attributes", body=body, headers={"Content-Length": "x"})
+            assert connection.getresponse().status == 400
+        finally:
+            connection.close()
+
     def test_reused_connection_does_not_stall(self, server):
         # One keep-alive connection, 50 sequential requests: a delayed-ACK
         # stall per response (~40 ms) would take about 2 s.
@@ -387,3 +399,49 @@ class TestKeptConnections:
         recovered = HistogramStore.recover(tmp_path / "wal")
         assert recovered.total_count("age") == acked
         recovered.close()
+
+    def test_stop_keeps_the_answers_a_late_reader_has_not_read(self, make_server):
+        """A pipelining client that reads nothing until the edge is closing
+        still receives the answer to every write the edge applied: the close
+        waits for its answers to leave before it shuts the connection."""
+        running = make_server().start()
+        StatisticsClient(*running.address).create("age", "dc", memory_kb=0.5)
+        body = b'{"insert": [1.0]}'
+        request = b"POST /attributes/age/ingest HTTP/1.1\r\nHost: edge\r\n"
+        request += b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+        sock = socket.socket()
+        # A small receive window, so most unread answers wait in the edge's send queue.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(10.0)
+        sock.connect(running.address)
+        received = bytearray()
+
+        def pipeline_requests():
+            # Input keeps arriving while the edge closes the connection.
+            with contextlib.suppress(OSError):
+                while True:
+                    sock.sendall(request * 1000)
+
+        def read_answers_late():
+            time.sleep(0.2)  # until the edge is closing the connection
+            with contextlib.suppress(OSError):
+                while chunk := sock.recv(65536):
+                    received.extend(chunk)
+
+        sender = threading.Thread(target=pipeline_requests)
+        reader = threading.Thread(target=read_answers_late)
+        sender.start()
+        try:
+            assert _wait_for(lambda: _total(running, "age") >= 200)
+            reader.start()
+            running.stop()
+            reader.join(timeout=10)
+        finally:
+            running.stop()
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)  # ends a send the closed edge never reset
+            sender.join(timeout=10)
+            sock.close()
+        assert not sender.is_alive() and not reader.is_alive()
+        assert received.count(b"HTTP/1.1 200") == _total(running, "age")
+        assert received.count(b"Connection: close") == 1

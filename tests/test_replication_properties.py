@@ -65,7 +65,7 @@ def test_estimates_match_unsharded_reference_with_one_replica_killed(seed):
     shards = [FlakyShard(LocalShard(f"shard-{index}")) for index in range(N_SHARDS)]
     by_id = {shard.shard_id: shard for shard in shards}
     router = ShardRouter([shard.shard_id for shard in shards], replication_factor=2)
-    coordinator = ClusterCoordinator(shards, router=router, global_buckets=64)
+    coordinator = ClusterCoordinator(shards, router=router)
     # Two pieces on shard-0/shard-1; their followers land on shard-2/3,
     # so killing ANY single shard leaves every replica group alive.
     coordinator.create(

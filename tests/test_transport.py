@@ -22,6 +22,7 @@ from repro.cluster.transport import (
     encode_frame,
     try_pipelined_scatter,
 )
+from repro.core.segment_view import SegmentView
 from repro.exceptions import (
     DuplicateAttributeError,
     ServiceError,
@@ -134,9 +135,8 @@ class TestRoundTrip:
         shard.ingest_many({"age": {"insert": [float(v % 50) for v in range(500)]}})
         stats = shard.stats("age")
         assert stats["total_count"] == pytest.approx(500.0)
-        reply = shard.query("age", [{"op": "range", "low": 0.0, "high": 50.0}])
-        [estimate] = reply["results"]
-        assert estimate == pytest.approx(500.0, rel=0.05)
+        view = SegmentView.from_wire(shard.published("age")["view"])
+        assert view.range_count(0.0, 50.0) == pytest.approx(500.0, rel=0.05)
         assert shard.names() == ["age"]
         assert shard.health()["status"] == "ok"
 
@@ -194,6 +194,12 @@ class TestRoundTrip:
             client.call("ingest", {"name": "age", "insert": [1.0]})
         assert shard.stats("age")["total_count"] == pytest.approx(0.0)
 
+    def test_estimates_are_not_a_shard_op(self, client, shard):
+        # The front end answers estimates from the published views it holds.
+        shard.create("age", "dc", memory_kb=0.5)
+        with pytest.raises(ServiceError, match="unknown shard op 'query'"):
+            client.call("query", {"name": "age", "queries": [{"op": "total"}]})
+
     def test_connection_pool_reuses_sockets(self, client):
         client.call("ping")
         connection = client.checkout()
@@ -247,7 +253,7 @@ class TestRetryDiscipline:
         assert "restore" not in IDEMPOTENT_OPS
         assert "create" not in IDEMPOTENT_OPS
         assert "drop" not in IDEMPOTENT_OPS
-        assert {"names", "query", "stats", "snapshot", "health"} <= IDEMPOTENT_OPS
+        assert {"names", "published", "stats", "snapshot", "health"} <= IDEMPOTENT_OPS
 
     def test_client_close_is_idempotent(self, client):
         client.call("ping")
