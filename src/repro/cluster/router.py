@@ -234,13 +234,6 @@ class ShardRouter:
             return override
         return self.ring_shard_for(name, exclude=exclude)
 
-    def shards_for(self, name: str) -> tuple[str, ...]:
-        """Every shard holding state for ``name`` (one, or the piece set)."""
-        partition = self.partition_for(name)
-        if partition is not None:
-            return partition.piece_shard_ids
-        return (self.shard_for(name),)
-
     # ------------------------------------------------------------------
     # replica placement
     # ------------------------------------------------------------------

@@ -120,7 +120,6 @@ class ClusterServer(EdgeServer):
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        quiet: bool = True,
         metrics: MetricsRegistry | None = None,
         slow_request_ms: float | None = None,
         trace: bool = False,
@@ -132,7 +131,6 @@ class ClusterServer(EdgeServer):
             coordinator,
             host=host,
             port=port,
-            quiet=quiet,
             metrics=metrics,
             slow_request_ms=slow_request_ms,
             trace=trace,

@@ -25,7 +25,7 @@ Lifecycle
   heals it with ``resync``; the supervisor never invents data.
 * :meth:`close` is idempotent: it stops the monitor, closes every transport
   client, SIGTERMs every worker, and escalates to SIGKILL after
-  ``shutdown_timeout``.
+  :data:`SHUTDOWN_TIMEOUT_S`.
 
 The supervisor never retries an op on a worker's behalf; all request-level
 retry discipline lives in the transport client (REP011).
@@ -46,6 +46,19 @@ from ..exceptions import ClusterError, ConfigurationError
 from .transport import READY_PREFIX, BinaryShardClient, ProcessShard
 
 __all__ = ["ShardSupervisor"]
+
+#: Seconds to wait for one worker's readiness line.
+STARTUP_TIMEOUT_S = 30.0
+
+#: Seconds :meth:`ShardSupervisor.close` waits for the monitor thread, and for
+#: the workers to exit after SIGTERM before it sends SIGKILL.
+SHUTDOWN_TIMEOUT_S = 5.0
+
+#: Each worker's transport client: seconds per call, connect-phase retries,
+#: and the seconds between them.
+CLIENT_TIMEOUT_S = 10.0
+CLIENT_RETRIES = 2
+CLIENT_RETRY_BACKOFF_S = 0.05
 
 
 @dataclass
@@ -81,8 +94,6 @@ class ShardSupervisor:
     max_restarts:
         Per-shard cap on automatic respawns; afterwards the shard stays down
         (reads fail over, ``resync`` heals it once it is brought back).
-    startup_timeout:
-        Seconds to wait for one worker's readiness line.
     profile:
         Run each worker's sampling profiler; its ``profile`` op reports it.
     """
@@ -96,12 +107,7 @@ class ShardSupervisor:
         wal_fsync: bool = False,
         restart: bool = True,
         max_restarts: int = 3,
-        startup_timeout: float = 30.0,
-        shutdown_timeout: float = 5.0,
         poll_interval: float = 0.2,
-        client_timeout: float = 10.0,
-        client_retries: int = 2,
-        client_retry_backoff: float = 0.05,
         profile: bool = False,
     ) -> None:
         if n_shards < 1:
@@ -112,12 +118,7 @@ class ShardSupervisor:
         self._wal_fsync = bool(wal_fsync)
         self._restart = bool(restart)
         self._max_restarts = int(max_restarts)
-        self._startup_timeout = float(startup_timeout)
-        self._shutdown_timeout = float(shutdown_timeout)
         self._poll_interval = float(poll_interval)
-        self._client_timeout = float(client_timeout)
-        self._client_retries = int(client_retries)
-        self._client_retry_backoff = float(client_retry_backoff)
         self._profile = bool(profile)
         self._handles: dict[str, _ShardHandle] = {}
         self._clients: dict[str, BinaryShardClient] = {}
@@ -179,7 +180,7 @@ class ShardSupervisor:
 
     def _await_ready(self, shard_id: str, process: subprocess.Popen) -> tuple[int, str]:
         assert process.stdout is not None
-        deadline = time.monotonic() + self._startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT_S
         result: dict[str, Any] = {}
 
         def read_line() -> None:
@@ -194,7 +195,7 @@ class ShardSupervisor:
         if reader.is_alive() or "line" not in result:
             raise ClusterError(
                 f"shard worker {shard_id!r} did not report readiness within "
-                f"{self._startup_timeout:g}s"
+                f"{STARTUP_TIMEOUT_S:g}s"
             )
         line = result["line"].decode("utf-8", "replace").strip()
         if not line.startswith(READY_PREFIX):
@@ -257,9 +258,9 @@ class ShardSupervisor:
                 client = BinaryShardClient(
                     self._host,
                     handle.port,
-                    timeout=self._client_timeout,
-                    retries=self._client_retries,
-                    retry_backoff=self._client_retry_backoff,
+                    timeout=CLIENT_TIMEOUT_S,
+                    retries=CLIENT_RETRIES,
+                    retry_backoff=CLIENT_RETRY_BACKOFF_S,
                 )
                 shard = ProcessShard(handle.shard_id, client)
                 shard.incarnation = handle.incarnation
@@ -367,7 +368,7 @@ class ShardSupervisor:
             return
         self._closing.set()
         if self._monitor is not None:
-            self._monitor.join(timeout=self._shutdown_timeout)
+            self._monitor.join(timeout=SHUTDOWN_TIMEOUT_S)
             self._monitor = None
         with self._lock:
             clients = list(self._clients.values())
@@ -380,7 +381,7 @@ class ShardSupervisor:
         for handle in handles:
             if handle.process.poll() is None:
                 handle.process.terminate()
-        deadline = time.monotonic() + self._shutdown_timeout
+        deadline = time.monotonic() + SHUTDOWN_TIMEOUT_S
         for handle in handles:
             remaining = max(0.0, deadline - time.monotonic())
             try:

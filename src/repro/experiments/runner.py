@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 
-from ..core.base import DynamicHistogram, Histogram
+from ..core.base import DynamicHistogram
 from ..metrics.distribution import DataDistribution
 from ..metrics.ks import ks_statistic
 from ..workloads.streams import UpdateStream

@@ -101,10 +101,22 @@ STOP_GRACE_S = 5.0
 #: Seconds a closing connection lingers at most (see ``_EdgeHTTPServer``).
 CLOSE_LINGER_S = 1.0
 
+#: Largest request body the edge reads, in bytes.  A longer declared body is
+#: answered with 413 before any of it is read: reading allocates the declared
+#: length up front and then waits for all of it.  The largest bodies this
+#: repository's own clients send are far smaller: perfbench's
+#: ``/cluster/ingest`` preload (278,433 bytes) and a ``restore`` of a 64 KB
+#: DADO snapshot (417,417 bytes).
+MAX_BODY_BYTES = 64 << 20
+
 #: Seconds between the serving loop's checks of its shutdown flag.
 #: :meth:`EdgeServer.stop` waits for the next check, and the standard
 #: library's 0.5 s default made every stop cost half a second.
 SERVE_POLL_INTERVAL_S = 0.05
+
+
+class _BodyTooLarge(Exception):
+    """A request declared a body longer than :data:`MAX_BODY_BYTES`."""
 
 
 class EdgeHandler(BaseHTTPRequestHandler):
@@ -147,8 +159,7 @@ class EdgeHandler(BaseHTTPRequestHandler):
                 self.edge._untrack(self.connection)
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if not self.edge.quiet:  # pragma: no cover - debugging aid
-            super().log_message(format, *args)
+        """Write no per-request line to stderr; the request metrics count them."""
 
     # ------------------------------------------------------------------
     # plumbing
@@ -187,6 +198,12 @@ class EdgeHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise ValueError("Content-Length must be a non-negative integer")
         length = int(length_text)
+        if length > MAX_BODY_BYTES:
+            # Unread, the body cannot be skipped to reach a next request.
+            self.close_connection = True
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the limit of {MAX_BODY_BYTES} bytes"
+            )
         if length == 0:
             return {}
         payload = json.loads(self.rfile.read(length).decode("utf-8"))
@@ -235,6 +252,9 @@ class EdgeHandler(BaseHTTPRequestHandler):
     def _handle_inner(self, method: str) -> None:
         try:
             payload = self._read_json() if method in ("POST", "PUT") else {}
+        except _BodyTooLarge as error:
+            self._send_json(413, {"error": str(error)})
+            return
         except (ValueError, json.JSONDecodeError) as error:
             self._send_json(400, {"error": f"invalid JSON body: {error}"})
             return
@@ -386,7 +406,6 @@ class EdgeServer:
         *,
         host: str,
         port: int,
-        quiet: bool,
         metrics: MetricsRegistry | None,
         slow_request_ms: float | None,
         trace: bool,
@@ -394,7 +413,6 @@ class EdgeServer:
         profile: bool | float,
     ) -> None:
         self.backend = backend
-        self.quiet = quiet
         # The server reports into the backend's registry by default, so one
         # scrape covers HTTP, store, WAL, pipeline and fan-out metrics;
         # tracing or a slow-request threshold forces a registry into existence.
@@ -653,7 +671,6 @@ class StatisticsServer(EdgeServer):
         host: str = "127.0.0.1",
         port: int = 0,
         pipeline: IngestPipeline | None = None,
-        quiet: bool = True,
         metrics: MetricsRegistry | None = None,
         slow_request_ms: float | None = None,
         trace: bool = False,
@@ -666,7 +683,6 @@ class StatisticsServer(EdgeServer):
             self.store,
             host=host,
             port=port,
-            quiet=quiet,
             metrics=metrics,
             slow_request_ms=slow_request_ms,
             trace=trace,

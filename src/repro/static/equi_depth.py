@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.bucket import Bucket
 from ..metrics.distribution import DataDistribution
 from .base import StaticHistogram, extract_value_frequencies, value_range_bucket
 

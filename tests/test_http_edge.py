@@ -17,7 +17,7 @@ import pytest
 from repro import HistogramStore, IngestPipeline, StatisticsClient, StatisticsServer
 from repro.cluster import ClusterCoordinator, ClusterServer, LocalShard
 from repro.obs import TRACE_HEADER, MetricsRegistry
-from repro.service.server import EdgeHandler
+from repro.service.server import MAX_BODY_BYTES, EdgeHandler
 
 
 def _service(**knobs):
@@ -92,6 +92,25 @@ class TestEdgeContract:
         assert b"Connection: close" in head
         assert "Content-Length" in json.loads(body)["error"]
         assert received.count(b"HTTP/1.1 ") == 1
+
+    @pytest.mark.parametrize("declared", [MAX_BODY_BYTES + 1, 99_999_999_999_999])
+    def test_oversized_body_413_from_the_header_alone(self, server, declared):
+        # Reading a declared body allocates all of it up front and waits for
+        # all of it, so the edge refuses it unread, then closes.
+        request = (
+            b"POST /attributes HTTP/1.1\r\nHost: edge\r\nContent-Length: %d\r\n\r\n"
+            b'{"name":"x"}' % declared
+        )
+        received = b""
+        with socket.create_connection(server.address, timeout=2.0) as sock:
+            sock.sendall(request)
+            with contextlib.suppress(ConnectionResetError):
+                while chunk := sock.recv(65536):
+                    received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413")
+        assert b"Connection: close" in head
+        assert str(declared) in json.loads(body)["error"]
 
     def test_a_refused_upload_still_gets_its_answer(self, server):
         # The edge answers before reading the body, then keeps discarding it

@@ -1,19 +1,20 @@
 """Tests for the ablation-matrix benchmark harness (``benchmarks/matrix.py``).
 
-The matrix is a script, not a package module, so it is loaded via importlib
-with the benchmarks directory on ``sys.path`` (its cells import the other
-bench scripts the same way the script itself does).
+The matrix is a script, not a package module, so it is loaded via importlib.
 
 Covers:
 
 * micro end-to-end runs of one cell per in-process runner kind (histogram /
-  service / store read) at tiny sizes;
+  delete / service / metrics / store read / merged accuracy) at tiny sizes;
 * schema and fingerprint stamping of the emitted report;
 * the regression gate: pass on identical data, **exit non-zero with the
   offending cell named in the delta table on an injected 2x slowdown** (the
   PR's acceptance criterion), auto-skip with a visible notice on fingerprint
   mismatch and on smoke-flag mismatch;
-* derived-ratio wiring and the delta-table formatter.
+* derived rows: their wiring, their outcomes, a missed gated row failing
+  the gate and a missed report-only row passing it;
+* the checks cells make: ``merged_accuracy`` raises past its bound;
+* the delta-table formatter.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import copy
 import importlib.util
 import json
 import pathlib
-import sys
 
 import pytest
 
@@ -32,19 +32,17 @@ BENCHMARKS = REPO_ROOT / "benchmarks"
 
 @pytest.fixture(scope="module")
 def matrix():
-    sys.path.insert(0, str(BENCHMARKS))
-    try:
-        spec = importlib.util.spec_from_file_location("matrix", BENCHMARKS / "matrix.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        sys.path.remove(str(BENCHMARKS))
+    spec = importlib.util.spec_from_file_location("matrix", BENCHMARKS / "matrix.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 #: Tiny sizes: the tests exercise the cell plumbing, not the numbers.
 MICRO_SIZES = {
     "hist_values": 2_000,
+    "delete_values": 2_000,
+    "delete_buckets": 16,
     "service_values": 600,
     "catalog_chunk": 16,
     "hot_chunk": 32,
@@ -53,8 +51,16 @@ MICRO_SIZES = {
     "repeats": 1,
 }
 
-#: One representative cell per in-process runner kind.
-MICRO_CELLS = ["hist_dc", "wal_on", "read_published_single"]
+#: One representative cell per in-process runner kind (``merged_accuracy``
+#: runs at its own fixed size).
+MICRO_CELLS = [
+    "hist_dc",
+    "delete_per_value_dado",
+    "wal_on",
+    "metrics_on",
+    "read_published_single",
+    "merged_accuracy",
+]
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +73,7 @@ class TestMatrixCells:
         cells = micro_report["cells"]
         assert set(cells) == set(MICRO_CELLS)
         kinds = {matrix.CELLS[name]["kind"] for name in cells}
-        assert kinds == {"histogram", "service", "store_read"}
+        assert kinds == set(matrix.RUNNERS) - {"cluster_spawned"}
         for name, cell in cells.items():
             assert cell["ops_per_sec"] > 0, name
             assert "latency_p99_s" in cell, name
@@ -81,8 +87,18 @@ class TestMatrixCells:
         json.dumps(micro_report)  # must be JSON-serialisable as-is
 
     def test_cell_detail_records_its_knob(self, matrix, micro_report):
-        assert micro_report["cells"]["wal_on"]["detail"]["wal"] == "on"
-        assert micro_report["cells"]["read_published_single"]["detail"]["read_path"] == "published"
+        cells = micro_report["cells"]
+        assert cells["wal_on"]["detail"]["wal"] == "on"
+        assert cells["read_published_single"]["detail"]["read_path"] == "published"
+        assert cells["delete_per_value_dado"]["detail"]["batched"] is False
+        assert cells["metrics_on"]["detail"]["metrics"] is True
+
+    def test_checking_cells_record_what_they_checked(self, micro_report):
+        cells = micro_report["cells"]
+        assert cells["metrics_on"]["detail"]["accuracy_checks"] > 0
+        merged = cells["merged_accuracy"]["detail"]
+        assert (merged["values"], merged["windows"]) == (80_000, 50)
+        assert 0 < merged["max_error_vs_unsharded"] <= 0.02
 
     def test_profile_flag_embeds_attribution(self, matrix):
         report = matrix.run_matrix(
@@ -97,9 +113,85 @@ class TestMatrixCells:
             matrix.run_matrix(smoke=True, cells=["no_such_cell"], sizes=MICRO_SIZES)
 
     def test_derived_ratios_reference_real_cells(self, matrix):
-        for numerator, denominator in matrix.DERIVED.values():
-            assert numerator in matrix.CELLS
-            assert denominator in matrix.CELLS
+        # Every derived row names two real cells and a positive expectation.
+        for name, row in matrix.ROWS.items():
+            numerator, denominator = row["cells"]
+            assert numerator in matrix.CELLS, name
+            assert denominator in matrix.CELLS, name
+            assert row["at_least"] is None or row["at_least"] > 0, name
+
+    def test_merged_accuracy_raises_past_its_bound(self, matrix, monkeypatch):
+        # The cell's windows drift up to 0.0142 of the total; 0.01 is too tight.
+        monkeypatch.setitem(matrix.CELLS["merged_accuracy"], "max_error", 0.01)
+        with pytest.raises(AssertionError, match="merged estimates drifted"):
+            matrix.run_cell("merged_accuracy", MICRO_SIZES)
+
+
+def _report_with_rows(micro_report, rows):
+    report = copy.deepcopy(micro_report)
+    report["rows"] = rows
+    return report
+
+
+class TestRows:
+    def test_outcomes_and_when_a_row_gates(self, matrix):
+        cells = {
+            "wal_on": {"ops_per_sec": 40.0},
+            "wal_off": {"ops_per_sec": 100.0},
+            "wal_fsync": {"ops_per_sec": 10.0},
+            "spawned_shards_4": {"ops_per_sec": 200.0},
+            "spawned_shards_1": {"ops_per_sec": 100.0},
+        }
+        rows = matrix.evaluate_rows(cells, smoke=False, cpu_count=4)
+        # Rows need both of their cells.
+        assert set(rows) == {
+            "wal_overhead_on_vs_off",
+            "fsync_overhead_vs_wal_on",
+            "spawned_scaling_4_vs_1",
+        }
+        wal = rows["wal_overhead_on_vs_off"]
+        assert (wal["value"], wal["expect"], wal["status"]) == (0.4, ">= 0.5", "missed")
+        assert not wal["gated"]
+        assert rows["fsync_overhead_vs_wal_on"]["status"] == "recorded"
+        spawned = rows["spawned_scaling_4_vs_1"]
+        assert (spawned["value"], spawned["status"], spawned["gated"]) == (2.0, "missed", True)
+        for smoke, cpus in ((True, 4), (False, 3)):
+            again = matrix.evaluate_rows(cells, smoke=smoke, cpu_count=cpus)
+            assert not again["spawned_scaling_4_vs_1"]["gated"]
+
+    def test_missed_gated_row_fails_the_gate(self, matrix, micro_report, tmp_path, capsys):
+        rows = {
+            "spawned_scaling_4_vs_1": {
+                "cells": ["spawned_shards_4", "spawned_shards_1"],
+                "value": 1.2,
+                "expect": ">= 2.5",
+                "status": "missed",
+                "gated": True,
+            }
+        }
+        report = _report_with_rows(micro_report, rows)
+        assert matrix.run_gate(report, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "GATE FAILED" in err and "spawned_scaling_4_vs_1" in err
+
+    def test_missed_report_only_row_is_printed_and_passes(
+        self, matrix, micro_report, tmp_path, capsys
+    ):
+        rows = {
+            "wal_overhead_on_vs_off": {
+                "cells": ["wal_on", "wal_off"],
+                "value": 0.4,
+                "expect": ">= 0.5",
+                "status": "missed",
+                "gated": False,
+            }
+        }
+        report = _report_with_rows(micro_report, rows)
+        table = matrix.format_rows(report["rows"])
+        line = next(line for line in table.splitlines() if "wal_overhead_on_vs_off" in line)
+        assert "0.4" in line and ">= 0.5" in line and "missed" in line
+        assert matrix.run_gate(report, tmp_path) == 0
+        assert "GATE FAILED" not in capsys.readouterr().err
 
 
 class TestGate:

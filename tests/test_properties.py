@@ -363,6 +363,33 @@ def test_delete_many_matches_per_value_deletes(histogram_class, sub_buckets, val
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
+@given(values_strategy, st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_dc_delete_many_matches_per_value_deletes(values, seed):
+    """DC's binning delete pass ends in the per-value path's buckets.
+
+    Borders match exactly; counts match up to the summation order of the
+    batched pass.
+    """
+    per_value = DCHistogram(10)
+    batched = DCHistogram(10)
+    floats = [float(v) for v in values]
+    per_value.insert_many(floats, repartition_interval=4)
+    batched.insert_many(floats, repartition_interval=4)
+
+    rng = np.random.default_rng(seed)
+    to_delete = rng.permutation(np.asarray(floats, dtype=float))[: len(floats) // 2]
+    for value in to_delete:
+        per_value.delete(float(value))
+    batched.delete_many(list(to_delete))
+
+    a, b = per_value.buckets(), batched.buckets()
+    assert [(x.left, x.right) for x in a] == [(x.left, x.right) for x in b]
+    np.testing.assert_allclose(
+        [x.count for x in a], [x.count for x in b], rtol=1e-9, atol=1e-9
+    )
+
+
 @given(
     st.sampled_from([DCHistogram, DVOHistogram, DADOHistogram]),
     values_strategy,

@@ -7,9 +7,9 @@ concurrent writers:
 * every read succeeds (failover), and
 * merged estimates for both the range-partitioned and the hashed attribute
   still match an unsharded reference store within a small factor of the
-  error bound recorded in ``BENCH_cluster.json`` (see ``BOUND_FACTOR`` for
-  why the concurrent-writer scenario compounds the benchmark's
-  single-stream bound).
+  error bound the benchmark matrix's ``merged_accuracy`` cell asserts (see
+  ``BOUND_FACTOR`` for why the concurrent-writer scenario compounds the
+  benchmark's single-stream bound).
 
 After the run the killed shard is revived and resynced, and every replica
 pair must be bit-identical again.
@@ -17,7 +17,7 @@ pair must be bit-identical again.
 
 from __future__ import annotations
 
-import json
+import importlib.util
 import pathlib
 import threading
 
@@ -30,7 +30,7 @@ from repro.service import HistogramStore
 
 pytestmark = pytest.mark.slow
 
-BENCH_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_cluster.json"
+MATRIX_PATH = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "matrix.py"
 N_SHARDS = 4
 N_WRITERS = 3
 BATCHES_PER_WRITER = 12
@@ -38,8 +38,8 @@ BATCH = 200
 DOMAIN_HIGH = 4000.0
 
 
-#: The BENCH_cluster.json bound was recorded for merged-vs-unsharded on ONE
-#: ordered insert stream.  Here both sides carry extra, timing-dependent
+#: The matrix's bound holds for merged-vs-unsharded on ONE ordered insert
+#: stream.  Here both sides carry extra, timing-dependent
 #: layout divergence: the cluster's serving replica applied three writers'
 #: batches in a nondeterministic interleaving while the reference applied
 #: them writer-by-writer, and histogram maintenance is order-sensitive.  The
@@ -51,12 +51,10 @@ BOUND_FACTOR = 2.0
 
 
 def recorded_error_bound() -> float:
-    bench = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
-    return float(
-        bench["sections"]["merged_estimate_accuracy"][
-            "recorded_error_bound_fraction_of_total"
-        ]
-    )
+    spec = importlib.util.spec_from_file_location("matrix", MATRIX_PATH)
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    return float(matrix.CELLS["merged_accuracy"]["max_error"])
 
 
 @pytest.mark.parametrize("seed", [3, 17, 42])

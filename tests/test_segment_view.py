@@ -27,6 +27,27 @@ def loop_estimate_range(histogram, low, high):
     return float(sum(bucket.count_in_range(low, high) for bucket in histogram.buckets()))
 
 
+def loop_estimate_equal(histogram, value):
+    """Point masses at ``value``, plus one unit of the bucket holding it; a
+    value on a shared border counts the bucket it opens, a closing border only
+    when no bucket opens there."""
+    estimate = 0.0
+    border_bucket = None
+    interior_hit = False
+    for bucket in histogram.buckets():
+        if bucket.is_point_mass:
+            if bucket.left == value:
+                estimate += bucket.count
+        elif bucket.left <= value < bucket.right:
+            estimate += bucket.density * min(1.0, bucket.width)
+            interior_hit = True
+        elif value == bucket.right:
+            border_bucket = bucket
+    if border_bucket is not None and not interior_hit:
+        estimate += border_bucket.density * min(1.0, border_bucket.width)
+    return float(estimate)
+
+
 def loop_count_at_most(histogram, x):
     return float(sum(bucket.count_at_most(x) for bucket in histogram.buckets()))
 
@@ -93,6 +114,13 @@ class TestViewEquivalence:
         for low, width in zip(lows, widths, strict=True):
             assert histogram.estimate_range(low, low + width) == pytest.approx(
                 loop_estimate_range(histogram, low, low + width), rel=1e-9, abs=1e-9
+            )
+
+    def test_estimate_equal(self, histogram, rng):
+        borders = {edge for bucket in histogram.buckets() for edge in (bucket.left, bucket.right)}
+        for value in [*rng.uniform(-10, 60, size=200), *sorted(borders)]:
+            assert histogram.estimate_equal(value) == pytest.approx(
+                loop_estimate_equal(histogram, value), rel=1e-9, abs=1e-9
             )
 
     def test_estimate_ranges_batch_matches_scalar(self, histogram, rng):
