@@ -82,7 +82,6 @@ from repro.obs import (  # noqa: E402
     LATENCY_BUCKETS_S,
     AccuracySampler,
     MetricsRegistry,
-    PhaseTimer,
     SamplingProfiler,
 )
 from repro.service import DurabilityConfig, HistogramStore, IngestPipeline  # noqa: E402
@@ -872,17 +871,17 @@ def run_cell(
 ) -> dict:
     config = CELLS[name]
     runner = RUNNERS[config["kind"]]
-    timer = PhaseTimer()
     profiler = SamplingProfiler(profile_interval_s) if profile else None
     if profiler is not None:
         profiler.start()
+    start = time.perf_counter()
     try:
-        with timer.phase("run"):
-            result = runner(config, sizes)
+        result = runner(config, sizes)
     finally:
         if profiler is not None:
             profiler.stop()
-    result["phases"] = timer.report()
+    # The whole cell, set-up and checks included: which cell ate a slow run.
+    result["wall_s"] = round(time.perf_counter() - start, 6)
     if profiler is not None:
         result["profile"] = profiler.attribution(top=8)
     return result

@@ -733,9 +733,12 @@ _REP011_SEND_CALLS = {"send", "sendall", "receive", "request", "getresponse"}
         "getresponse, send, sendall or receive), inside a loop or not: the "
         "classic stale keep-alive bug re-sends a write on a fresh connection "
         "from the except clause.  The guard is spelled as a name containing "
-        "`idempotent` next to a `raise`.  The supervisor inherits the same "
-        "discipline: it restarts processes, it never replays requests on "
-        "their behalf."
+        "`idempotent` next to a `raise`.  A scatter that sends its lost "
+        "requests again in a later round decides with a test of the retry "
+        "budget (a comparison against `<client>.retries`); that test must "
+        "name idempotency too (a name containing `idempotent`, such as "
+        "`IDEMPOTENT_OPS`).  The supervisor inherits the same discipline: it "
+        "restarts processes, it never replays requests on their behalf."
     ),
 )
 def check_no_post_wire_retry(module: SourceModule) -> Iterator[Finding]:
@@ -777,3 +780,22 @@ def check_no_post_wire_retry(module: SourceModule) -> Iterator[Finding]:
                     "idempotency guard (raise unless the request is "
                     "idempotent); a replayed write double-applies",
                 )
+    # A later round's re-send: a condition that tests a retry budget.
+    for node in ast.walk(module.tree):
+        if not isinstance(node, (ast.If, ast.IfExp, ast.While)):
+            continue
+        budget = any(
+            isinstance(n, ast.Compare)
+            and any(isinstance(x, ast.Attribute) and x.attr == "retries" for x in ast.walk(n))
+            for n in ast.walk(node.test)
+        )
+        idempotency = any(
+            isinstance(n, ast.Name) and "idempotent" in n.id.lower()
+            for n in ast.walk(node.test)
+        )
+        if budget and not idempotency:
+            yield (
+                node.lineno,
+                "a retry budget tested without an idempotency test: a lost "
+                "write sent again in a later round double-applies",
+            )

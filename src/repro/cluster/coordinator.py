@@ -8,10 +8,14 @@ implements the three cluster-level behaviours no single shard can provide:
 **Scatter-gather ingest.**  Writes for an unpartitioned attribute go to its
 home shard; writes for a range-partitioned attribute are split per value
 (one ``searchsorted`` pass) and fanned out to the piece shards.  Every
-fan-out names its legs as ``{shard_id: (op, args)}``, the shape the wire
-carries: legs to spawned worker processes are pipelined (every request frame
-is written before any reply is read), and legs to in-process shards run one
-after another on the calling thread.  Every value write -- :meth:`ingest`,
+request the coordinator sends a shard -- a fan-out, a failover attempt, a
+step of ``rebalance``, ``resync`` or ``drain`` -- is an ``(op, args)`` leg,
+the shape the wire carries, run by one leg runner
+(:meth:`ClusterCoordinator._run_legs`): legs to spawned worker processes are
+pipelined (every request frame is written before any reply is read), legs
+to in-process shards run one after another on the calling thread, and every
+leg records ``repro_cluster_fanout_seconds{shard}`` and a ``fanout:<shard>``
+span.  Every value write -- :meth:`ingest`,
 :meth:`ingest_batch` and the buffer replays of rebalance and resync -- takes
 one path: the batch is grouped by shard first, so each shard receives
 exactly one ``ingest_many`` stream, in rounds of at most
@@ -114,7 +118,7 @@ from ..exceptions import (
     ShardUnavailableError,
     UnknownAttributeError,
 )
-from ..obs.trace import current_trace, maybe_span
+from ..obs.trace import current_trace
 # Unused here; perfbench/layers.py wraps them, so they stay until it drops the pins.
 from ..distributed.union import reduce_segments  # noqa: F401
 from ..persistence import histogram_from_dict  # noqa: F401
@@ -289,25 +293,18 @@ class ClusterCoordinator:
                 f"unknown shard id {shard_id!r}; members: {list(self._shards)}"
             ) from None
 
-    def _scatter_tolerant(
-        self,
-        legs: Mapping[str, tuple[str, dict[str, Any]]],
-        *,
-        failure_types: tuple[type, ...] = (ShardUnavailableError,),
-    ) -> tuple[dict[str, Any], dict[str, Exception]]:
-        """Run one ``(op, args)`` leg per shard, partitioning the outcomes.
+    def _run_legs(
+        self, legs: Mapping[str, tuple[str, dict[str, Any]]]
+    ) -> dict[str, tuple[bool, Any]]:
+        """Run one ``(op, args)`` leg per shard: ``{shard_id: (ok, value)}``.
 
-        Returns ``(results, errors)`` keyed by shard id: ``failure_types``
-        exceptions land in ``errors`` (the caller decides what a tolerable
-        failure means -- drop, listing, batch ingest and the replicated
-        fan-out all differ); any other error is raised once every leg ran.
-
-        When every target is a :class:`~repro.cluster.transport.ProcessShard`
-        the scatter is **pipelined**: the calling thread writes every request
-        frame on a persistent connection and then multiplexes the replies.
-        In-process legs run one after another on the calling thread.  Every
-        leg records ``repro_cluster_fanout_seconds`` and a ``fanout:<shard>``
-        span.
+        The one way the coordinator reaches a shard.  When every target is a
+        :class:`~repro.cluster.transport.ProcessShard` the legs are
+        **pipelined**: the calling thread writes every request frame on a
+        persistent connection and then multiplexes the replies.  In-process
+        legs run one after another on the calling thread.  Every leg records
+        ``repro_cluster_fanout_seconds`` and a ``fanout:<shard>`` span;
+        ``value`` is the leg's result, or the exception it raised.
         """
         shards = {shard_id: self.shard(shard_id) for shard_id in legs}
         started = time.perf_counter()
@@ -325,14 +322,37 @@ class ClusterCoordinator:
                 except Exception as error:
                     ok, value = False, error
                 outcomes[shard_id] = (ok, value, time.perf_counter() - starts[shard_id])
-        results: dict[str, Any] = {}
-        errors: dict[str, Exception] = {}
-        unexpected: Exception | None = None
-        for shard_id, (ok, value, elapsed) in outcomes.items():
+        for shard_id, (_, _, elapsed) in outcomes.items():
             if self._m_fanout_seconds is not None:
                 self._m_fanout_seconds.observe(elapsed, shard=shard_id)
             if trace is not None:
                 trace.add_span(f"fanout:{shard_id}", starts[shard_id] - trace.started, elapsed)
+        return {shard_id: (ok, value) for shard_id, (ok, value, _) in outcomes.items()}
+
+    def _ask(self, shard_id: str, op: str, args: dict[str, Any]) -> Any:
+        """One leg to one shard: its result, or its error raised."""
+        ok, value = self._run_legs({shard_id: (op, args)})[shard_id]
+        if not ok:
+            raise value
+        return value
+
+    def _scatter_tolerant(
+        self,
+        legs: Mapping[str, tuple[str, dict[str, Any]]],
+        *,
+        failure_types: tuple[type, ...] = (ShardUnavailableError,),
+    ) -> tuple[dict[str, Any], dict[str, Exception]]:
+        """Run one ``(op, args)`` leg per shard, partitioning the outcomes.
+
+        Returns ``(results, errors)`` keyed by shard id: ``failure_types``
+        exceptions land in ``errors`` (the caller decides what a tolerable
+        failure means -- drop, listing, batch ingest and the replicated
+        fan-out all differ); any other error is raised once every leg ran.
+        """
+        results: dict[str, Any] = {}
+        errors: dict[str, Exception] = {}
+        unexpected: Exception | None = None
+        for shard_id, (ok, value) in self._run_legs(legs).items():
             if ok:
                 results[shard_id] = value
             elif isinstance(value, failure_types):
@@ -409,7 +429,7 @@ class ClusterCoordinator:
 
         ``tried`` is a ``(shard_id, error)`` attempt a scatter already made:
         that replica is not asked again, and its error counts like any other
-        attempt's.
+        attempt's.  Each attempt is one leg through :meth:`_run_legs`.
         """
         last_unavailable: ShardUnavailableError | None = None
         last_unknown: UnknownAttributeError | None = None
@@ -417,15 +437,7 @@ class ClusterCoordinator:
             try:
                 if tried is not None and shard_id == tried[0]:
                     raise tried[1]
-                start = time.perf_counter()
-                try:
-                    with maybe_span(f"shard:{shard_id}"):
-                        return shard_id, getattr(self.shard(shard_id), op)(**args)
-                finally:
-                    if self._m_fanout_seconds is not None:
-                        self._m_fanout_seconds.observe(
-                            time.perf_counter() - start, shard=shard_id
-                        )
+                return shard_id, self._ask(shard_id, op, dict(args))
             except ShardUnavailableError as error:
                 last_unavailable = error
                 if self._m_failovers is not None:
@@ -1213,7 +1225,7 @@ class ClusterCoordinator:
         goes back to the front of the buffer whole: the abandoned target is
         the only shard that saw any of it.
         """
-        target = self.shard(target_shard_id)
+        self.shard(target_shard_id)  # membership check
         if self._router.replication_factor > 1:
             raise ClusterError(
                 "rebalance requires replication_factor=1: a replicated "
@@ -1227,12 +1239,11 @@ class ClusterCoordinator:
         source_id = self._router.shard_for(name)
         if source_id == target_shard_id:
             return {"attribute": name, "from": source_id, "to": target_shard_id, "moved": False}
-        source = self.shard(source_id)
         self._begin_move(name)
         replayed = 0
         try:
-            snapshot = source.snapshot(name)
-            target.restore(name, snapshot)
+            snapshot = self._ask(source_id, "snapshot", {"name": name})
+            self._ask(target_shard_id, "restore", {"name": name, "snapshot": snapshot})
             while True:
                 with self._moves_cv:
                     buffered = self._moves[name]
@@ -1254,10 +1265,10 @@ class ClusterCoordinator:
         except Exception:
             self._abort_move(name)
             with contextlib.suppress(ShardUnavailableError, UnknownAttributeError):
-                target.drop(name)
+                self._ask(target_shard_id, "drop", {"name": name})
             self._discard_views(name)
             raise
-        source.drop(name)
+        self._ask(source_id, "drop", {"name": name})
         self._discard_views(name)
         return {
             "attribute": name,
@@ -1274,7 +1285,7 @@ class ClusterCoordinator:
         piece is a re-partitioning decision, not a drain) and are reported as
         skipped.
         """
-        source = self.shard(shard_id)
+        self.shard(shard_id)  # membership check
         if self._router.replication_factor > 1:
             raise ClusterError(
                 "drain requires replication_factor=1; a replicated cluster "
@@ -1284,7 +1295,7 @@ class ClusterCoordinator:
             raise ClusterError("cannot drain the only shard in the cluster")
         moved: dict[str, str] = {}
         skipped: list[str] = []
-        for name in source.names():
+        for name in self._ask(shard_id, "names", {}):
             if self._router.is_partitioned(name):
                 skipped.append(name)
                 continue
@@ -1319,7 +1330,7 @@ class ClusterCoordinator:
             source_id, snapshot = self._call_with_failover(
                 name, sources, "snapshot", {"name": name}
             )
-            self.shard(target_id).restore(name, snapshot)
+            self._ask(target_id, "restore", {"name": name, "snapshot": snapshot})
             # Stale bookkeeping NOW, not after the replay: the restore made
             # the target exactly as fresh as its source (buffered ops are on
             # no replica yet), and a replay failure below may legitimately

@@ -12,7 +12,8 @@ Lifecycle
 * :meth:`ShardSupervisor.start` launches ``python -m repro.cluster.worker``
   once per shard, all at once, waits for each worker's readiness line (which
   carries the ephemeral port it bound and its store's incarnation token),
-  verifies liveness with a transport ``ping`` and returns one
+  verifies liveness with a transport ``ping`` (a one-leg scatter, like
+  every other request) and returns one
   :class:`~repro.cluster.transport.ProcessShard` per worker, its
   ``incarnation`` set from that line.
 * A monitor thread polls the fleet.  A worker that dies unexpectedly is
@@ -28,7 +29,7 @@ Lifecycle
   :data:`SHUTDOWN_TIMEOUT_S`.
 
 The supervisor never retries an op on a worker's behalf; all request-level
-retry discipline lives in the transport client (REP011).
+retry discipline lives in the transport's one round trip (REP011).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..exceptions import ClusterError, ConfigurationError
+from ..exceptions import ClusterError, ConfigurationError, ShardUnavailableError
 from .transport import READY_PREFIX, BinaryShardClient, ProcessShard
 
 __all__ = ["ShardSupervisor"]
@@ -54,8 +55,9 @@ STARTUP_TIMEOUT_S = 30.0
 #: the workers to exit after SIGTERM before it sends SIGKILL.
 SHUTDOWN_TIMEOUT_S = 5.0
 
-#: Each worker's transport client: seconds per call, connect-phase retries,
-#: and the seconds between them.
+#: Each worker's transport client: seconds per round of a request, its retry
+#: budget (connect attempts per send, and resends of an idempotent op), and
+#: the first backoff between them.
 CLIENT_TIMEOUT_S = 10.0
 CLIENT_RETRIES = 2
 CLIENT_RETRY_BACKOFF_S = 0.05
@@ -121,7 +123,6 @@ class ShardSupervisor:
         self._poll_interval = float(poll_interval)
         self._profile = bool(profile)
         self._handles: dict[str, _ShardHandle] = {}
-        self._clients: dict[str, BinaryShardClient] = {}
         self._shards: dict[str, ProcessShard] = {}
         self._lock = threading.Lock()
         self._closing = threading.Event()
@@ -265,9 +266,8 @@ class ShardSupervisor:
                 shard = ProcessShard(handle.shard_id, client)
                 shard.incarnation = handle.incarnation
                 with self._lock:
-                    self._clients[handle.shard_id] = client
                     self._shards[handle.shard_id] = shard
-                client.call("ping")  # liveness fence before the fleet is handed out
+                shard._call("ping", {})  # liveness fence before the fleet is handed out
                 shards.append(shard)
         except BaseException:  # Ctrl-C while the fleet starts stops what already runs
             self.close()
@@ -349,12 +349,12 @@ class ShardSupervisor:
         """Block until ``shard_id`` answers a transport ping (post-restart)."""
         deadline = time.monotonic() + timeout
         with self._lock:
-            client = self._clients[shard_id]
+            shard = self._shards[shard_id]
         while True:
             try:
-                client.call("ping")
+                shard._call("ping", {})
                 return
-            except OSError:
+            except ShardUnavailableError:
                 if time.monotonic() >= deadline:
                     raise
                 time.sleep(0.1)
@@ -371,13 +371,12 @@ class ShardSupervisor:
             self._monitor.join(timeout=SHUTDOWN_TIMEOUT_S)
             self._monitor = None
         with self._lock:
-            clients = list(self._clients.values())
+            shards = list(self._shards.values())
             handles = list(self._handles.values())
-            self._clients.clear()
             self._handles.clear()
             self._shards.clear()
-        for client in clients:
-            client.close()
+        for shard in shards:
+            shard.client.close()
         for handle in handles:
             if handle.process.poll() is None:
                 handle.process.terminate()

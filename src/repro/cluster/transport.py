@@ -26,13 +26,15 @@ unknown type degrades to :class:`~repro.exceptions.ServiceError`).
 Retry discipline (REP011)
 -------------------------
 
-:meth:`BinaryShardClient.call` separates the *connect phase* from the *send*:
-a connect failure cannot have reached the shard and is always retried with
-bounded exponential backoff, but once a frame reached the wire the op's fate
-is unknown -- only ops in :data:`IDEMPOTENT_OPS` (reads) may re-enter the
-retry loop.  Resending a write over a fresh connection could double-apply it
-on a shard that processed the request and lost only the reply.  The analysis
-rule REP011 machine-checks this file for that shape.
+Every request takes one round trip, :func:`_exchange`, and is retried under
+one budget, the client's ``retries``.  A connect failure cannot have reached
+the shard, so :meth:`BinaryShardClient.checkout_with_retry` always retries
+it, with bounded exponential backoff.  Once a frame reached the wire the
+op's fate is unknown: only an op in :data:`IDEMPOTENT_OPS` (a read) is sent
+again, at most ``retries`` more times; a write is sent exactly once, since
+resending it over a fresh connection could double-apply it on a shard that
+processed the request and lost only the reply.  The analysis rule REP011
+machine-checks this file for that shape.
 
 Non-blocking fan-out
 --------------------
@@ -41,7 +43,9 @@ Non-blocking fan-out
 wire's own shape, ``{shard_id: (op, args)}``.  When every target shard is a
 :class:`ProcessShard`, the calling thread writes every request frame
 back-to-back and then multiplexes the replies with :mod:`selectors` -- one
-coordinator thread drives N shard processes, with no thread per shard.
+coordinator thread drives N shard processes, with no thread per shard.  A
+single request (:meth:`ProcessShard._call`, and through it the supervisor's
+pings) is a scatter of one leg.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import struct
 import threading
 import time
 import zlib
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from typing import Any
 
 from ..exceptions import (
@@ -100,6 +104,9 @@ READY_PREFIX = "REPRO-SHARD-READY"
 #: cluster ships around, small enough that a corrupt length field cannot make
 #: the receiver try to buffer gigabytes.
 MAX_PAYLOAD_BYTES = 1 << 28
+
+#: Idle connections one :class:`BinaryShardClient` keeps open.
+POOL_SIZE = 4
 
 #: Ops whose replies are safe to re-request after an unknown-fate transport
 #: failure: pure reads.  Every write in
@@ -224,6 +231,32 @@ def build_exception(info: Mapping[str, Any]) -> Exception:
     return ServiceError(f"{type_name}: {message}")
 
 
+def _request_frame(
+    connection: ShardConnection, op: str, args: Mapping[str, Any]
+) -> tuple[int, bytes]:
+    """The next request id on ``connection`` and the frame that carries it."""
+    request_id = connection.next_request_id()
+    payload: dict[str, Any] = {"id": request_id, "op": op, "args": dict(args)}
+    trace_id = current_trace_id()
+    if trace_id is not None:
+        payload["trace"] = trace_id
+    return request_id, encode_frame(payload)
+
+
+def _reply_outcome(reply: Mapping[str, Any], request_id: int) -> tuple[bool, Any]:
+    """``(True, result)``, or ``(False, the shard's application error)``.
+
+    A reply to another request raises :class:`FrameError`: the stream is out
+    of step, like a torn frame.
+    """
+    if reply.get("id") != request_id:
+        raise FrameError(f"reply id {reply.get('id')!r} does not match request {request_id}")
+    if reply.get("ok"):
+        return True, reply.get("result")
+    error_info = reply.get("error")
+    return False, build_exception(error_info if isinstance(error_info, Mapping) else {})
+
+
 class ShardConnection:
     """One persistent connection with its incremental frame parser."""
 
@@ -250,22 +283,6 @@ class ShardConnection:
     def send(self, frame: bytes) -> None:
         self._sock.sendall(frame)
 
-    def receive(self, timeout: float) -> dict[str, Any]:
-        """Block until one complete frame arrives (or ``timeout`` elapses)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            payload = self._parser.pop()
-            if payload is not None:
-                return payload
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise socket.timeout(f"no reply frame within {timeout:g}s")
-            self._sock.settimeout(remaining)
-            chunk = self._sock.recv(self._CHUNK)
-            if not chunk:
-                raise FrameError("connection closed before a complete reply frame")
-            self._parser.feed(chunk)
-
     def receive_step(self) -> dict[str, Any] | None:
         """One non-blocking read step; a complete frame, or None for 'not yet'."""
         payload = self._parser.pop()
@@ -288,12 +305,13 @@ class ShardConnection:
 
 
 class BinaryShardClient:
-    """Client for one :class:`BinaryShardServer`, pooling persistent connections.
+    """Connection pool and retry settings for one :class:`BinaryShardServer`.
 
-    ``retries`` extra attempts after a retriable transport failure, backoff
-    doubling from ``retry_backoff``.  The pool keeps up to ``pool_size`` idle
-    connections; a scatter can check out more (they are closed on check-in
-    once the pool is full).
+    ``timeout`` bounds one round of a request, ``retries`` is the one retry
+    budget (extra connect attempts per send, and extra sends of an
+    idempotent op), and the backoff doubles from ``retry_backoff``.  The
+    pool keeps up to :data:`POOL_SIZE` idle connections; a scatter can check
+    out more (they are closed on check-in once the pool is full).
     """
 
     def __init__(
@@ -304,7 +322,6 @@ class BinaryShardClient:
         timeout: float = 10.0,
         retries: int = 2,
         retry_backoff: float = 0.05,
-        pool_size: int = 4,
     ) -> None:
         self.host = host
         self.port = int(port)
@@ -313,7 +330,6 @@ class BinaryShardClient:
             raise ConfigurationError(f"retries must be >= 0, got {retries}")
         self.retries = int(retries)
         self.retry_backoff = float(retry_backoff)
-        self._pool_size = int(pool_size)
         self._idle: list[ShardConnection] = []
         self._pool_lock = threading.Lock()
         self._closed = False
@@ -342,55 +358,64 @@ class BinaryShardClient:
         if self._m_connect_retries is not None:
             self._m_connect_retries.inc(1, endpoint=self._endpoint)
 
-    def _record_backoff(self, pause: float) -> None:
+    def backoff(self, attempt: int) -> float:
+        """Record and return the pause before retry ``attempt`` (1-based)."""
+        pause = self.retry_backoff * (2 ** (attempt - 1))
         with self._stats_lock:
             self.transport_stats["backoff_seconds"] += pause
         if self._m_backoff_seconds is not None:
             self._m_backoff_seconds.inc(pause, endpoint=self._endpoint)
+        return pause
 
     # -- pool ----------------------------------------------------------
-    def checkout(self) -> ShardConnection:
+    def checkout_with_retry(self) -> ShardConnection:
         """A pooled connection, or a freshly connected one (connect phase).
 
-        Connect errors propagate as :class:`OSError`: nothing has reached the
-        shard, so the caller's retry loop may always re-enter.
+        Nothing has reached the shard yet, so a failed connect is always
+        retried, with backoff; the last failure propagates as
+        :class:`OSError`.
         """
-        with self._pool_lock:
-            if self._closed:
-                raise FrameError("client is closed")
-            if self._idle:
-                return self._idle.pop()
-        # Connect OUTSIDE the pool lock: socket I/O under a held lock would
-        # stall every concurrent checkout (and trips the lockcheck monitor).
-        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        return ShardConnection(sock)
-
-    def checkout_with_retry(self) -> ShardConnection:
-        """Connect-phase checkout with the client's bounded backoff retries."""
         last_error: OSError | None = None
         for attempt in range(self.retries + 1):
             if attempt:
-                pause = self.retry_backoff * (2 ** (attempt - 1))
-                self._record_backoff(pause)
-                time.sleep(pause)
+                time.sleep(self.backoff(attempt))
+            with self._pool_lock:
+                if self._closed:
+                    raise FrameError("client is closed")
+                if self._idle:
+                    return self._idle.pop()
+            # Connect OUTSIDE the pool lock: socket I/O under a held lock
+            # would stall every concurrent checkout (and trips the lockcheck
+            # monitor).
             try:
-                return self.checkout()
+                sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
             except OSError as error:
                 self._record_connect_failure()
                 last_error = error
+                continue
+            return ShardConnection(sock)
         assert last_error is not None
         raise last_error
 
     def checkin(self, connection: ShardConnection) -> None:
         connection.set_blocking(True, self.timeout)
         with self._pool_lock:
-            if not self._closed and len(self._idle) < self._pool_size:
+            if not self._closed and len(self._idle) < POOL_SIZE:
                 self._idle.append(connection)
                 return
         connection.close()
 
     def discard(self, connection: ShardConnection) -> None:
-        connection.close()
+        """Close a connection that failed, and the idle ones with it.
+
+        They all reach the same worker, and a failure most often means that
+        worker exited: after a respawn on the same port, reusing the dead
+        idle connections would spend a read's whole retry budget on them.
+        """
+        with self._pool_lock:
+            idle, self._idle = self._idle, []
+        for dead in (connection, *idle):
+            dead.close()
 
     def close(self) -> None:
         """Close every pooled connection (idempotent)."""
@@ -400,73 +425,13 @@ class BinaryShardClient:
         for connection in idle:
             connection.close()
 
-    # -- request/response ----------------------------------------------
-    def _envelope(self, connection: ShardConnection, op: str, args: Mapping[str, Any]) -> tuple[int, bytes]:
-        request_id = connection.next_request_id()
-        payload: dict[str, Any] = {"id": request_id, "op": op, "args": dict(args)}
-        trace_id = current_trace_id()
-        if trace_id is not None:
-            payload["trace"] = trace_id
-        return request_id, encode_frame(payload)
-
-    @staticmethod
-    def _decode_reply(reply: Mapping[str, Any], request_id: int) -> Any:
-        if reply.get("id") != request_id:
-            raise FrameError(
-                f"reply id {reply.get('id')!r} does not match request {request_id}"
-            )
-        if reply.get("ok"):
-            return reply.get("result")
-        error_info = reply.get("error")
-        raise build_exception(error_info if isinstance(error_info, Mapping) else {})
-
-    def call(self, op: str, args: Mapping[str, Any] | None = None) -> Any:
-        """One request/response round trip on a pooled connection.
-
-        Connect-phase failures retry with backoff; a failure after the frame
-        reached the wire re-enters the loop only for ops in
-        :data:`IDEMPOTENT_OPS` -- resending anything else could double-apply
-        a write whose reply was lost (REP011).
-        """
-        args = args or {}
-        idempotent = op in IDEMPOTENT_OPS
-        last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                pause = self.retry_backoff * (2 ** (attempt - 1))
-                self._record_backoff(pause)
-                time.sleep(pause)
-            try:
-                connection = self.checkout()
-            except OSError as error:
-                self._record_connect_failure()
-                last_error = error
-                continue
-            request_id, frame = self._envelope(connection, op, args)
-            try:
-                connection.send(frame)
-                reply = connection.receive(self.timeout)
-            except OSError as error:
-                self.discard(connection)
-                # Post-wire failure: the shard may have applied the op and
-                # lost only the reply.  Only an idempotent read may re-enter
-                # the retry loop; a resent write could double-apply.
-                if not idempotent:
-                    raise
-                last_error = error
-                continue
-            self.checkin(connection)
-            return self._decode_reply(reply, request_id)
-        assert last_error is not None
-        raise last_error
-
 
 class ProcessShard(ShardBackend):
     """A shard served by a spawned process over the binary transport.
 
     The coordinator's scatter (:func:`try_pipelined_scatter`) multiplexes
-    this backend's persistent connections; individual method calls make one
-    blocking round trip.  Transport failures (after the client's bounded
+    this backend's persistent connections; an individual method call is a
+    scatter of one leg.  Transport failures (after the client's bounded
     retries) are wrapped into :class:`~repro.exceptions.ShardUnavailableError`
     carrying this shard's id, so callers can tell "shard down" from "bad
     request".
@@ -488,10 +453,10 @@ class ProcessShard(ShardBackend):
         return ShardUnavailableError(self.shard_id, error)
 
     def _call(self, op: str, args: Mapping[str, Any]) -> Any:
-        try:
-            return self.client.call(op, args)
-        except OSError as error:
-            raise self._unavailable(error) from error
+        ok, value, _ = _exchange({self.shard_id: (self, (op, dict(args)))})[self.shard_id]
+        if not ok:
+            raise value
+        return value
 
     def create(
         self,
@@ -702,17 +667,69 @@ def try_pipelined_scatter(
 def _execute_scatter(
     legs: Mapping[str, tuple[ProcessShard, tuple[str, dict[str, Any]]]],
 ) -> dict[str, tuple[bool, Any, float]]:
-    outcomes: dict[str, tuple[bool, Any, float]] = {}
-    pending: dict[str, dict[str, Any]] = {}
-    fallback: list[str] = []
+    """The pipelined scatter: every leg through :func:`_exchange`.
+
+    :meth:`ProcessShard._call` calls :func:`_exchange` itself, so a tool that
+    wraps both this function and ``_call`` (``perfbench/layers.py``) sees
+    each op once.
+    """
+    return _exchange(legs)
+
+
+def _exchange(
+    legs: Mapping[str, tuple[ProcessShard, tuple[str, dict[str, Any]]]],
+) -> dict[str, tuple[bool, Any, float]]:
+    """Send every leg and gather its reply: the transport's one round trip.
+
+    Each round runs :func:`_send_and_receive` over the legs still open.  A
+    leg whose frame may have reached the wire but got no usable reply is
+    *lost*: a read in :data:`IDEMPOTENT_OPS` goes out again in the next
+    round, after backoff, until its client's ``retries`` are spent; any
+    other op finishes as unavailable at once (REP011).  So an idempotent op
+    is sent at most ``retries + 1`` times, and a write exactly once.
+
+    Returns ``{shard_id: (ok, value, elapsed_s)}``: ``value`` is the op's
+    result when ``ok`` and an exception otherwise (transport failures
+    wrapped as :class:`ShardUnavailableError`, application errors
+    reconstructed); ``elapsed_s`` runs from the first round's start.
+    """
     start = time.perf_counter()
+    outcomes: dict[str, tuple[bool, Any, float]] = {}
 
     def finish(shard_id: str, ok: bool, value: Any) -> None:
         outcomes[shard_id] = (ok, value, time.perf_counter() - start)
 
-    # Phase 1: connect (retriable) + send every request back-to-back.  The
-    # frame either reaches the wire or the leg fails here; REP011 applies
-    # from the send onward.
+    todo, rounds = dict(legs), 0
+    while todo:
+        if rounds:
+            time.sleep(max(shard.client.backoff(rounds) for shard, _ in todo.values()))
+        lost = _send_and_receive(todo, finish)
+        rounds += 1
+        todo = {}
+        for shard_id, error in lost.items():
+            shard, (op, _) = legs[shard_id]
+            idempotent = op in IDEMPOTENT_OPS
+            if idempotent and rounds <= shard.client.retries:
+                todo[shard_id] = legs[shard_id]
+            else:
+                finish(shard_id, False, shard._unavailable(error))
+    return outcomes
+
+
+def _send_and_receive(
+    legs: Mapping[str, tuple[ProcessShard, tuple[str, dict[str, Any]]]],
+    finish: Callable[[str, bool, Any], None],
+) -> dict[str, OSError]:
+    """One round: send every leg's frame, then multiplex the replies.
+
+    Phase 1 checks out a connection per leg (a connect failure, retried
+    there, finishes the leg as unavailable: nothing reached the shard) and
+    writes every request frame back-to-back.  Phase 2 reads the replies on
+    the calling thread until the largest client timeout.  Answered legs go
+    to ``finish``; the lost ones are returned with their errors.
+    """
+    lost: dict[str, OSError] = {}
+    pending: dict[str, tuple[ShardConnection, int]] = {}
     for shard_id, (shard, (op, args)) in legs.items():
         client = shard.client
         try:
@@ -720,95 +737,52 @@ def _execute_scatter(
         except OSError as error:
             finish(shard_id, False, shard._unavailable(error))
             continue
-        request_id, frame = client._envelope(connection, op, args)
+        request_id, frame = _request_frame(connection, op, args)
         try:
             connection.send(frame)
-        # repro-verify: ignore[REP011] this `continue` moves to the NEXT leg, never re-sends this one: idempotent ops are re-asked once in phase 3, non-idempotent ones finish as unavailable here
         except OSError as error:
+            # Nothing guarantees the frame left this host, but nothing
+            # guarantees it did not: the op's fate is unknown.
             client.discard(connection)
-            # Nothing guarantees the frame left this host, but its fate is
-            # unknown: only an idempotent read may be re-asked (REP011).
-            if op in IDEMPOTENT_OPS:
-                fallback.append(shard_id)
-            else:
-                finish(shard_id, False, shard._unavailable(error))
-            continue
-        connection.set_blocking(False)
-        pending[shard_id] = {
-            "shard": shard,
-            "connection": connection,
-            "request_id": request_id,
-            "op": op,
-            "args": args,
-        }
+            lost[shard_id] = error
+        else:
+            connection.set_blocking(False)
+            pending[shard_id] = (connection, request_id)
+    if not pending:
+        return lost
 
-    # Phase 2: multiplex the replies on the calling thread.
-    if pending:
-        deadline = start + max(
-            leg["shard"].client.timeout for leg in pending.values()
-        )
-        selector = selectors.DefaultSelector()
-        for shard_id, leg in pending.items():
-            selector.register(leg["connection"], selectors.EVENT_READ, shard_id)
-
-        def drop_leg(shard_id: str, error: OSError) -> None:
-            leg = pending.pop(shard_id)
-            selector.unregister(leg["connection"])
-            leg["shard"].client.discard(leg["connection"])
-            if leg["op"] in IDEMPOTENT_OPS:
-                fallback.append(shard_id)
-            else:
-                finish(shard_id, False, leg["shard"]._unavailable(error))
-
-        try:
-            while pending:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    for shard_id in list(pending):
-                        drop_leg(shard_id, socket.timeout("scatter reply timed out"))
-                    break
-                for key, _events in selector.select(remaining):
-                    shard_id = key.data
-                    leg = pending.get(shard_id)
-                    if leg is None:
-                        continue
-                    try:
-                        reply = leg["connection"].receive_step()
-                    except OSError as error:
-                        drop_leg(shard_id, error)
-                        continue
+    deadline = time.perf_counter() + max(legs[shard_id][0].client.timeout for shard_id in pending)
+    selector = selectors.DefaultSelector()
+    for shard_id, (connection, _) in pending.items():
+        selector.register(connection, selectors.EVENT_READ, shard_id)
+    try:
+        while pending:
+            remaining = deadline - time.perf_counter()
+            if remaining <= 0:
+                for shard_id, (connection, _) in pending.items():
+                    legs[shard_id][0].client.discard(connection)
+                    lost[shard_id] = socket.timeout("no reply frame within the client timeout")
+                break
+            for key, _events in selector.select(remaining):
+                shard_id = key.data
+                connection, request_id = pending[shard_id]
+                client = legs[shard_id][0].client
+                try:
+                    reply = connection.receive_step()
                     if reply is None:
-                        continue
-                    del pending[shard_id]
-                    selector.unregister(leg["connection"])
-                    leg["shard"].client.checkin(leg["connection"])
-                    try:
-                        value = BinaryShardClient._decode_reply(
-                            reply, leg["request_id"]
-                        )
-                    except FrameError as error:
-                        # The reply itself was unusable; same classification
-                        # as a dead connection.
-                        if leg["op"] in IDEMPOTENT_OPS:
-                            fallback.append(shard_id)
-                        else:
-                            finish(shard_id, False, leg["shard"]._unavailable(error))
-                        continue
-                    except Exception as error:
-                        finish(shard_id, False, error)
-                        continue
-                    finish(shard_id, True, value)
-        finally:
-            selector.close()
-
-    # Phase 3: idempotent reads that lost their connection re-ask through the
-    # blocking client (a fresh retry loop -- legal for reads only).
-    for shard_id in fallback:
-        shard, (op, args) = legs[shard_id]
-        try:
-            finish(shard_id, True, shard.client.call(op, args))
-        except OSError as error:
-            finish(shard_id, False, shard._unavailable(error))
-        except Exception as error:
-            finish(shard_id, False, error)
-    return outcomes
+                        continue  # no whole frame yet
+                    outcome = _reply_outcome(reply, request_id)
+                except OSError as error:
+                    # A closed or corrupt stream, or a reply to another
+                    # request: no usable reply, the op's fate is unknown.
+                    selector.unregister(connection)
+                    client.discard(connection)
+                    lost[shard_id] = error
+                else:
+                    selector.unregister(connection)
+                    client.checkin(connection)
+                    finish(shard_id, *outcome)
+                del pending[shard_id]
+    finally:
+        selector.close()
+    return lost

@@ -8,7 +8,7 @@ Three pieces, one contract:
   spans, and the structured slow-request log (:class:`RequestObserver`);
 * :mod:`repro.obs.accuracy` -- sampled exact-vs-estimate selectivity-error
   telemetry (:class:`AccuracySampler`);
-* :mod:`repro.obs.profile` -- phase timers and the opt-in stack-sampling
+* :mod:`repro.obs.profile` -- the opt-in stack-sampling
   profiler (:class:`SamplingProfiler`) behind the servers' ``profile=`` knob
   and the benchmark matrix's ``--profile`` flag;
 * :mod:`repro.obs.process` -- process self-telemetry (RSS, GC, threads,
@@ -23,7 +23,7 @@ and exercised under ``tests/lockcheck.py``.
 
 from .accuracy import AccuracySampler
 from .process import ProcessTelemetry
-from .profile import DEFAULT_SAMPLE_INTERVAL_S, PhaseTimer, SamplingProfiler
+from .profile import DEFAULT_SAMPLE_INTERVAL_S, SamplingProfiler
 from .registry import (
     ERROR_BUCKETS,
     LATENCY_BUCKETS_S,
@@ -39,7 +39,6 @@ from .trace import (
     Trace,
     current_trace,
     current_trace_id,
-    maybe_span,
     new_trace_id,
     route_label,
     use_trace,
@@ -54,7 +53,6 @@ __all__ = [
     "Gauge",
     "LATENCY_BUCKETS_S",
     "MetricsRegistry",
-    "PhaseTimer",
     "ProcessTelemetry",
     "RequestObserver",
     "SamplingProfiler",
@@ -63,7 +61,6 @@ __all__ = [
     "Trace",
     "current_trace",
     "current_trace_id",
-    "maybe_span",
     "new_trace_id",
     "route_label",
     "use_trace",

@@ -1,17 +1,11 @@
-"""Phase timers and an opt-in stdlib sampling profiler.
+"""An opt-in stdlib sampling profiler.
 
-Two complementary "where did the time go" tools, both dependency-free:
-
-* :class:`PhaseTimer` -- coarse wall-clock attribution over *named phases*
-  (the benchmark matrix wraps every cell's setup / timed-run / verify stages
-  in one, so a slow matrix run reports which stage ate the time);
-* :class:`SamplingProfiler` -- fine-grained attribution over *code paths*:
-  a background thread wakes on a fixed interval, walks every live thread's
-  stack via ``sys._current_frames()``, and counts collapsed stacks
-  (``root;caller;...;leaf``, flamegraph-style).  :meth:`attribution` folds
-  the counts into the hottest stacks and leaf functions, so a regressed
-  benchmark cell carries its own profile instead of requiring a re-run under
-  cProfile.
+:class:`SamplingProfiler` attributes time over *code paths*, with no
+dependency: a background thread wakes on a fixed interval, walks every live
+thread's stack via ``sys._current_frames()``, and counts collapsed stacks
+(``root;caller;...;leaf``, flamegraph-style).  :meth:`attribution` folds the
+counts into the hottest stacks and leaf functions, so a regressed benchmark
+cell carries its own profile instead of requiring a re-run under cProfile.
 
 Sampling beats tracing here because it is *safe to leave on*: the sampler
 never patches the interpreter, costs one stack walk per interval regardless
@@ -32,12 +26,10 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from collections.abc import Iterator
-from contextlib import contextmanager
 from types import FrameType
 from typing import Any
 
-__all__ = ["PhaseTimer", "SamplingProfiler", "DEFAULT_SAMPLE_INTERVAL_S"]
+__all__ = ["SamplingProfiler", "DEFAULT_SAMPLE_INTERVAL_S"]
 
 #: Default sampling interval: 5 ms = 200 stacks/second, cheap enough to ride
 #: along on every profiled benchmark cell or server.
@@ -46,55 +38,6 @@ DEFAULT_SAMPLE_INTERVAL_S = 0.005
 #: Stack frames deeper than this are truncated at the root end; hot leaves
 #: are what attribution cares about.
 _MAX_STACK_DEPTH = 48
-
-
-class PhaseTimer:
-    """Named wall-clock phases with total / count / last-duration accounting.
-
-    Thread-safe; the lock is a leaf (held only to update two floats and an
-    int).  Phases may repeat -- durations accumulate::
-
-        timer = PhaseTimer()
-        with timer.phase("setup"):
-            ...
-        with timer.phase("run"):
-            ...
-        timer.report()  # {"setup": {"seconds": ..., "count": 1, ...}, ...}
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        # name -> [total_seconds, count, last_seconds]
-        self._phases: dict[str, list[float]] = {}
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                entry = self._phases.get(name)
-                if entry is None:
-                    self._phases[name] = [elapsed, 1, elapsed]
-                else:
-                    entry[0] += elapsed
-                    entry[1] += 1
-                    entry[2] = elapsed
-
-    def report(self) -> dict[str, dict[str, float]]:
-        """Per-phase totals, in first-seen order."""
-        with self._lock:
-            snapshot = {name: list(entry) for name, entry in self._phases.items()}
-        return {
-            name: {
-                "seconds": round(total, 6),
-                "count": int(count),
-                "last_seconds": round(last, 6),
-            }
-            for name, (total, count, last) in snapshot.items()
-        }
 
 
 def _collapse(frame: FrameType | None) -> str:

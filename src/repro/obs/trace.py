@@ -5,7 +5,7 @@ header is generated at the edge (the first server that sees the request
 without one, or a client that opened a trace explicitly), propagated
 client -> ``StatisticsServer`` -> ``ClusterCoordinator`` -> every shard
 fan-out leg, and echoed back on the response.  Along the way each layer
-records named spans (per-shard fan-out legs, failover attempts) onto the
+records named spans (one ``fanout:<shard>`` span per shard leg) onto the
 active :class:`Trace`; when a request finishes above the configured
 slow-request threshold, the trace is emitted as one structured JSON line.
 
@@ -129,17 +129,6 @@ def use_trace(trace: Trace | None):
         yield trace
     finally:
         _active.trace = previous
-
-
-@contextmanager
-def maybe_span(name: str):
-    """A span on the current trace, or a no-op when tracing is off."""
-    trace = current_trace()
-    if trace is None:
-        yield None
-        return
-    with trace.span(name):
-        yield trace
 
 
 def _default_sink(entry: dict[str, Any]) -> None:

@@ -7,9 +7,11 @@ and tracing, the ``/metrics``, ``/profile`` and estimate routes, and the
 start / stop lifecycle.
 
 Connections are kept alive (HTTP/1.1) for at most
-:data:`EDGE_IDLE_TIMEOUT_S` of silence: a connection idle that long, or a
-request whose headers or body stall that long, is closed and its thread
-freed.  :meth:`EdgeServer.stop` closes every kept connection before it
+:data:`EDGE_IDLE_TIMEOUT_S` of silence between requests, and each request
+must arrive whole -- request line, headers and body -- within
+:data:`EDGE_IDLE_TIMEOUT_S` of its first byte: a connection idle that long,
+or a request that slow, however steadily it trickles, is closed and its
+thread freed.  :meth:`EdgeServer.stop` closes every kept connection before it
 releases the kind's machinery (on a single node, the ingest pipeline's
 drain), so no write is acknowledged after the drain.  Every close is staged,
 so a pipelining client keeps its last answers.  :class:`StatisticsServer` puts a
@@ -58,6 +60,7 @@ are applied synchronously before the response is sent.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import socket
 import threading
@@ -88,10 +91,11 @@ METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: A route's answer: HTTP status and JSON body.
 Reply = tuple[int, dict[str, Any]]
 
-#: Seconds a kept connection may stay silent -- between requests, or inside
-#: one whose headers or body stall -- before the edge closes it and frees its
-#: thread.  ``StatisticsClient`` reuses a connection only while it has been
-#: idle for less than half of this, so the two never race.
+#: Seconds a kept connection may stay silent between requests, and seconds
+#: one request may take to arrive from its first byte, before the edge closes
+#: the connection and frees its thread.  ``StatisticsClient`` reuses a
+#: connection only while it has been idle for less than half of this, so the
+#: two never race.
 EDGE_IDLE_TIMEOUT_S = 30.0
 
 #: Seconds :meth:`EdgeServer.stop` waits for handlers still answering a
@@ -119,6 +123,45 @@ class _BodyTooLarge(Exception):
     """A request declared a body longer than :data:`MAX_BODY_BYTES`."""
 
 
+def _set_timeout(sock: socket.socket, seconds: float) -> None:
+    """``sock.settimeout(seconds)``, skipped when it is set already.
+
+    The call releases the GIL, and a request thread that must win it back
+    from a busy ingest flush waits up to the interpreter's switch interval.
+    """
+    if sock.gettimeout() != seconds:
+        sock.settimeout(seconds)
+
+
+class _RequestReader(socket.SocketIO):
+    """The raw reads under an :class:`EdgeHandler`'s ``rfile``.
+
+    Between requests a read waits up to the handler's idle timeout; the
+    first byte of a request starts its deadline, and every later read of it
+    waits only for the time left, so a client that trickles bytes cannot
+    hold the thread past it.  The expiry raises :class:`TimeoutError`, which
+    the base class answers by closing the connection.
+    """
+
+    def __init__(self, handler: EdgeHandler) -> None:
+        super().__init__(handler.connection, "rb")
+        self._handler = handler
+
+    def readinto(self, buffer: Any) -> int | None:
+        handler = self._handler
+        if handler.request_deadline is None:
+            _set_timeout(self._sock, handler.timeout)
+            count = super().readinto(buffer)
+            if count:
+                handler.request_deadline = time.monotonic() + handler.timeout
+            return count
+        remaining = handler.request_deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("the request did not arrive within its deadline")
+        self._sock.settimeout(remaining)
+        return super().readinto(buffer)
+
+
 class EdgeHandler(BaseHTTPRequestHandler):
     """HTTP plumbing shared by both server kinds.
 
@@ -133,15 +176,32 @@ class EdgeHandler(BaseHTTPRequestHandler):
     # A response longer than the buffer takes several writes; Nagle would
     # hold the last one for the client's delayed ACK on a reused connection.
     disable_nagle_algorithm = True
-    # The socket timeout: on expiry the base class closes the connection.
+    # The idle timeout, and each request's deadline (see _RequestReader): on
+    # expiry the base class closes the connection.
     timeout = EDGE_IDLE_TIMEOUT_S
 
     # Set by EdgeServer when binding the handler class.
     edge: EdgeServer
 
+    #: When the request being read must have arrived; ``None`` while idle.
+    request_deadline: float | None = None
+
     def setup(self) -> None:
         super().setup()
+        self.rfile.close()
+        self.rfile = io.BufferedReader(_RequestReader(self))
         self._tracked = self.edge._track(self.connection)
+
+    def handle_one_request(self) -> None:
+        self.request_deadline = None
+        super().handle_one_request()
+
+    def parse_request(self) -> bool:
+        if self.request_deadline is None:
+            # The request line came whole from the read buffer, sent behind
+            # the previous request: its deadline starts now.
+            self.request_deadline = time.monotonic() + self.timeout
+        return super().parse_request()
 
     def handle(self) -> None:
         # A connection whose thread starts after stop() began is shut and closed unserved.
@@ -171,6 +231,8 @@ class EdgeHandler(BaseHTTPRequestHandler):
         self._send_body(status, text.encode("utf-8"), content_type)
 
     def _send_body(self, status: int, body: bytes, content_type: str) -> None:
+        # The request is read: its answer gets the whole timeout to leave.
+        _set_timeout(self.connection, self.timeout)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))

@@ -54,10 +54,8 @@ from typing import Any
 
 import numpy as np
 
-from .._validation import require_positive_int
 from ..core.base import DynamicHistogram, SnapshotHistogram
 from ..core.factory import build_dynamic_histogram
-from ..core.memory import MemoryModel
 from ..exceptions import (
     ConfigurationError,
     DuplicateAttributeError,
@@ -224,14 +222,12 @@ class _Attribute:
 class HistogramStore:
     """A concurrent catalog of named dynamic histograms.
 
+    Attributes translate memory budgets into bucket budgets with the paper's
+    memory model, and bulk inserts run with
+    :data:`DEFAULT_REPARTITION_INTERVAL` unless a caller passes its own.
+
     Parameters
     ----------
-    memory_model:
-        Shared :class:`~repro.core.memory.MemoryModel` translating per-attribute
-        memory budgets into bucket budgets (the default model is the paper's).
-    repartition_interval:
-        Maintenance batching hint forwarded to ``insert_many`` on bulk
-        ingests; 1 reproduces strict per-value maintenance.
     durability:
         Opt-in :class:`~repro.service.wal.DurabilityConfig`.  When set, every
         mutation (create / drop / insert / delete / restore) is appended to a
@@ -246,15 +242,10 @@ class HistogramStore:
     def __init__(
         self,
         *,
-        memory_model: MemoryModel | None = None,
-        repartition_interval: int = DEFAULT_REPARTITION_INTERVAL,
         durability: DurabilityConfig | None = None,
         metrics: Any | None = None,
         accuracy_sampler: Any | None = None,
     ) -> None:
-        require_positive_int(repartition_interval, "repartition_interval")
-        self._memory_model = memory_model
-        self._repartition_interval = repartition_interval
         self._registry_lock = threading.RLock()
         self._attributes: dict[str, _Attribute] = {}
         self._durability = durability
@@ -272,7 +263,6 @@ class HistogramStore:
         self._m_op_seconds = None
         self._m_mutations = None
         self._m_reads = None
-        self._m_published_reads = None
         self._m_published_publishes = None
         self._m_compactions = None
         self._m_compaction_seconds = None
@@ -294,11 +284,6 @@ class HistogramStore:
                 "repro_store_reads_total",
                 "Read operations served per attribute and op",
                 labelnames=("attribute", "op"),
-            )
-            self._m_published_reads = metrics.counter(
-                "repro_store_published_view_reads_total",
-                "Estimate batches served lock-free from the published snapshot",
-                labelnames=("attribute",),
             )
             self._m_published_publishes = metrics.counter(
                 "repro_store_published_view_publishes_total",
@@ -424,8 +409,6 @@ class HistogramStore:
         *,
         fsync: bool = False,
         compact_every: int | None = 10_000,
-        memory_model: MemoryModel | None = None,
-        repartition_interval: int = DEFAULT_REPARTITION_INTERVAL,
         metrics: Any | None = None,
     ) -> HistogramStore:
         """Rebuild a store from a WAL directory, bit-identical to pre-crash.
@@ -446,11 +429,7 @@ class HistogramStore:
         config = DurabilityConfig(
             wal_dir=wal_dir, fsync=fsync, compact_every=compact_every
         )
-        store = cls(
-            memory_model=memory_model,
-            repartition_interval=repartition_interval,
-            metrics=metrics,
-        )
+        store = cls(metrics=metrics)
         last_seq = 0
         if config.snapshot_path.exists():
             checkpoint = json.loads(config.snapshot_path.read_text(encoding="utf-8"))
@@ -597,7 +576,6 @@ class HistogramStore:
             value_unit=value_unit,
             disk_factor=disk_factor,
             seed=seed,
-            memory_model=self._memory_model,
         )
         with self._registry_lock:
             existing = self._attributes.get(name)
@@ -671,15 +649,15 @@ class HistogramStore:
         """Insert a batch of values into one attribute; returns the batch size.
 
         The batch goes through the histogram's vectorised ``insert_many`` path
-        with the store's maintenance batching hint, so sustained streams pay
-        one lock acquisition and one maintenance scan per interval instead of
-        per value.
+        with ``repartition_interval`` (:data:`DEFAULT_REPARTITION_INTERVAL`
+        unless given), so sustained streams pay one lock acquisition and one
+        maintenance scan per interval instead of per value.
         """
         values = _validated_values(values)
         if not values:
             return 0
         interval = (
-            self._repartition_interval if repartition_interval is None else repartition_interval
+            DEFAULT_REPARTITION_INTERVAL if repartition_interval is None else repartition_interval
         )
         start = time.perf_counter()
         attribute = self._attribute(name)
@@ -848,7 +826,6 @@ class HistogramStore:
         if self._m_op_seconds is not None:
             self._m_op_seconds.observe(time.perf_counter() - start, op="query")
             self._m_reads.inc(1, attribute=name, op="query")
-            self._m_published_reads.inc(1, attribute=name)
         if self._sampler is not None:
             self._sampler.maybe_check(name, queries, response["results"])
         return response

@@ -591,6 +591,47 @@ class TestRep011NoBinaryPostWireRetry:
         assert findings(source, "src/repro/service/store.py", "REP011") == []
 
 
+class TestRep011RoundBudget:
+    """A scatter re-sends its lost requests in a later round: the test of
+    the retry budget that decides it must test idempotency too."""
+
+    PATH = "src/repro/cluster/transport.py"
+
+    def test_flags_budget_test_without_idempotency(self):
+        source = """
+            def exchange(legs, lost, rounds):
+                again = {}
+                for shard_id, error in lost.items():
+                    shard, (op, _) = legs[shard_id]
+                    if rounds <= shard.client.retries:
+                        again[shard_id] = legs[shard_id]
+                return again
+        """
+        assert findings(source, self.PATH, "REP011") == ["REP011"]
+
+    def test_passes_budget_test_guarded_by_idempotency(self):
+        source = """
+            def exchange(legs, lost, rounds):
+                again = {}
+                for shard_id, error in lost.items():
+                    shard, (op, _) = legs[shard_id]
+                    idempotent = op in IDEMPOTENT_OPS
+                    if idempotent and rounds <= shard.client.retries:
+                        again[shard_id] = legs[shard_id]
+                return again
+        """
+        assert findings(source, self.PATH, "REP011") == []
+
+    def test_passes_argument_validation(self):
+        source = """
+            def __init__(self, retries):
+                if retries < 0:
+                    raise ValueError(retries)
+                self.retries = retries
+        """
+        assert findings(source, self.PATH, "REP011") == []
+
+
 class TestRep011ResendingHandler:
     """An except clause that re-sends is a retry, with or without a loop:
     the stale keep-alive bug re-sends a write on a fresh connection."""

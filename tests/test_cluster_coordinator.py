@@ -21,6 +21,7 @@ from repro.core.base import SnapshotHistogram
 from repro.core.segment_view import SegmentView
 from repro.distributed.union import superimpose
 from repro.exceptions import ShardUnavailableError
+from repro.obs import MetricsRegistry
 from repro.persistence import histogram_from_dict
 from repro.service import DurabilityConfig
 from repro.service.store import evaluate_queries
@@ -537,6 +538,63 @@ class TestRebalance:
         assert homed == []
         for index in range(6):
             assert coordinator.total_count(f"attribute-{index}") == pytest.approx(10.0)
+
+
+class TestMoveLegsAreMeasured:
+    """``rebalance``, ``resync`` and ``drain`` reach a shard only through
+    ``(op, args)`` legs, so every step records its fan-out latency."""
+
+    @staticmethod
+    def legs_during(registry, shard_ids, action):
+        fanout = registry.get("repro_cluster_fanout_seconds")
+        before = {sid: fanout.summary(shard=sid)["count"] for sid in shard_ids}
+        action()
+        return {sid: fanout.summary(shard=sid)["count"] - before[sid] for sid in shard_ids}
+
+    @staticmethod
+    def pinned_cluster(registry):
+        coordinator = ClusterCoordinator(
+            [LocalShard("source"), LocalShard("target")], metrics=registry
+        )
+        coordinator.router.assign("age", "source")
+        coordinator.create("age", "dc", memory_kb=0.5)
+        coordinator.ingest("age", insert=[1.0, 2.0, 3.0])
+        return coordinator
+
+    def test_rebalance_measures_its_snapshot_restore_and_drop_legs(self):
+        registry = MetricsRegistry()
+        coordinator = self.pinned_cluster(registry)
+        legs = self.legs_during(
+            registry, ["source", "target"], lambda: coordinator.rebalance("age", "target")
+        )
+        # snapshot and drop on the source, restore on the target
+        assert legs == {"source": 2, "target": 1}
+        assert coordinator.total_count("age") == pytest.approx(3.0)
+
+    def test_drain_measures_its_names_leg_and_the_moves(self):
+        registry = MetricsRegistry()
+        coordinator = self.pinned_cluster(registry)
+        legs = self.legs_during(
+            registry, ["source", "target"], lambda: coordinator.drain("source")
+        )
+        assert legs == {"source": 3, "target": 1}
+
+    def test_resync_measures_its_snapshot_and_restore_legs(self):
+        registry = MetricsRegistry()
+        shard_ids = ["shard-0", "shard-1"]
+        coordinator = ClusterCoordinator(
+            [LocalShard(sid) for sid in shard_ids],
+            router=ShardRouter(shard_ids, replication_factor=2),
+            metrics=registry,
+        )
+        coordinator.create("age", "dc", memory_kb=0.5)
+        coordinator.ingest("age", insert=[1.0, 2.0, 3.0])
+        source = coordinator.router.replicas_for("age")[0]
+        target = next(sid for sid in shard_ids if sid != source)
+        legs = self.legs_during(registry, shard_ids, lambda: coordinator.resync(target))
+        # a names leg on each shard, then snapshot on the source and restore
+        # on the target
+        assert legs == {source: 2, target: 2}
 
 
 class TestClusterStats:

@@ -305,6 +305,64 @@ class TestKeptConnections:
                 kept.close()
                 stalled.close()
 
+    @pytest.mark.parametrize(
+        ("opening", "route"),
+        [
+            # the body trickles: a request that got no answer, status 0
+            (b"POST /attributes HTTP/1.1\r\nHost: edge\r\nContent-Length: 100\r\n\r\n{", "/attributes"),
+            # the headers trickle: no request was parsed, none is counted
+            (b"GET /health HTTP/1.1\r\nHost: edge\r\nX-Slow: ", None),
+        ],
+        ids=["body", "headers"],
+    )
+    def test_a_trickling_request_is_cut_off_at_its_deadline(
+        self, make_server, monkeypatch, opening, route
+    ):
+        # One byte every 0.2 s never lets a 0.5 s read time out; the
+        # request's deadline, 0.5 s from its first byte, still ends it.
+        monkeypatch.setattr(EdgeHandler, "timeout", 0.5)
+        monkeypatch.setattr("repro.service.server.CLOSE_LINGER_S", 0.1)
+        registry = MetricsRegistry()
+        requests = registry.counter("repro_http_requests_total", "", labelnames=("route", "status"))
+        already = _handler_threads()
+        with make_server(metrics=registry) as running:
+            sock = socket.create_connection(running.address, timeout=2.0)
+            try:
+                sock.sendall(opening)
+                started = time.monotonic()
+                assert _wait_for(lambda: _handler_threads(already))
+                while _handler_threads(already) and time.monotonic() - started < 3.0:
+                    with contextlib.suppress(OSError):
+                        sock.sendall(b" ")
+                    time.sleep(0.2)
+                released_after = time.monotonic() - started
+            finally:
+                sock.close()
+            assert not _handler_threads(already)
+            # deadline 0.5 s + close linger 0.1 s + one 0.2 s trickle step,
+            # with slack for a loaded host; without a deadline: 3 s and alive
+            assert released_after < 1.5
+            counted = {"/attributes": 1, None: 0}[route]
+            assert requests.value(route="/attributes", status="0") == counted
+            assert requests.value(route="/health", status="0") == 0
+
+    def test_the_request_deadline_spares_a_kept_alive_client(self, make_server, monkeypatch):
+        # Requests 0.1 s apart on one connection for three deadlines' time:
+        # the deadline is per request, so the connection is never cut.
+        monkeypatch.setattr(EdgeHandler, "timeout", 0.5)
+        monkeypatch.setattr("repro.service.client.REUSE_IDLE_LIMIT_S", 0.25)
+        registry = MetricsRegistry()
+        connections = registry.counter("repro_http_connections_total", "")
+        with make_server(metrics=registry) as running:
+            client = StatisticsClient(*running.address, retries=0)
+            client.create("age", "dc", memory_kb=0.5)
+            started = time.monotonic()
+            while time.monotonic() - started < 1.5:
+                client.ingest("age", insert=[1.0, 2.0])
+                assert client.health()["status"] == "ok"
+                time.sleep(0.1)
+            assert connections.value() == 1
+
     def test_client_pausing_past_the_timeout_reconnects(self, make_server, monkeypatch):
         # The client's reuse limit is half the edge's timeout; patch both.
         monkeypatch.setattr(EdgeHandler, "timeout", 0.4)

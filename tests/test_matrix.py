@@ -77,7 +77,7 @@ class TestMatrixCells:
         for name, cell in cells.items():
             assert cell["ops_per_sec"] > 0, name
             assert "latency_p99_s" in cell, name
-            assert cell["phases"]["run"]["count"] == 1, name
+            assert cell["wall_s"] > 0, name
 
     def test_report_is_schema_versioned_and_fingerprinted(self, matrix, micro_report):
         assert micro_report["schema_version"] == matrix.SCHEMA_VERSION

@@ -42,6 +42,7 @@ from repro import (
     StatisticsServer,
 )
 from repro.cluster import BinaryShardClient, BinaryShardServer, ProcessShard, ShardSupervisor
+from repro.exceptions import ShardUnavailableError
 from repro.obs import (
     LATENCY_BUCKETS_S,
     AccuracySampler,
@@ -257,7 +258,13 @@ class TestTracePropagation:
             span["name"] for entry in cluster_entries for span in entry.get("spans", [])
         }
         assert {"fanout:shard-0", "fanout:shard-1"} <= spans
-        assert any(name.startswith("shard:") for name in spans)
+        # A failover read (the held view of ``age`` fetched from its home)
+        # is a leg like any other: its span is a ``fanout:`` span too.
+        age_read, _ = [
+            entry for entry in cluster_entries if entry["route"] == "/attributes/{name}/estimate"
+        ]
+        assert [span["name"].split(":")[0] for span in age_read["spans"]] == ["fanout"]
+        assert not any(name.startswith("shard:") for name in spans)
         assert registry.get("repro_cluster_fanout_seconds") is not None
 
 
@@ -392,8 +399,8 @@ class TestClientRetryTelemetry:
             "127.0.0.1", dead_port, retries=2, retry_backoff=0.001
         )
         client.bind_metrics(registry)
-        with pytest.raises(OSError):
-            client.call("health")
+        with pytest.raises(ShardUnavailableError):
+            ProcessShard("shard-0", client)._call("health", {})
         assert client.transport_stats["connect_retries"] == 3  # initial + 2 retries
         assert client.transport_stats["backoff_seconds"] > 0.0
         endpoint = f"127.0.0.1:{dead_port}"

@@ -2,7 +2,6 @@
 
 Covers:
 
-* :class:`repro.obs.profile.PhaseTimer` accumulation and reporting;
 * :class:`repro.obs.profile.SamplingProfiler` lifecycle, busy-thread
   attribution (a spinning function must dominate the collapsed stacks) and
   thread-id filtering;
@@ -27,31 +26,8 @@ from repro import (
     StatisticsServer,
 )
 from repro.cluster import LocalShard
-from repro.obs import MetricsRegistry, PhaseTimer, SamplingProfiler
+from repro.obs import MetricsRegistry, SamplingProfiler
 from repro.obs.process import ProcessTelemetry, read_rss_bytes
-
-
-class TestPhaseTimer:
-    def test_phases_accumulate_and_report(self):
-        timer = PhaseTimer()
-        with timer.phase("setup"):
-            time.sleep(0.01)
-        for _ in range(2):
-            with timer.phase("run"):
-                time.sleep(0.005)
-        report = timer.report()
-        assert set(report) == {"setup", "run"}
-        assert report["setup"]["count"] == 1
-        assert report["run"]["count"] == 2
-        assert report["run"]["seconds"] >= 0.008
-        assert report["run"]["last_seconds"] <= report["run"]["seconds"]
-
-    def test_exception_still_records_phase(self):
-        timer = PhaseTimer()
-        with pytest.raises(RuntimeError):
-            with timer.phase("boom"):
-                raise RuntimeError("x")
-        assert timer.report()["boom"]["count"] == 1
 
 
 def _spin_busy(stop: threading.Event) -> None:

@@ -1,9 +1,10 @@
 """Unit tests for the persistent binary shard transport.
 
 Covers the frame codec (WAL-style ``magic | length | crc32 | JSON``
-framing), the error-reconstruction whitelist, the pooled client's REP011
-retry discipline (connect-phase always retriable, post-wire only for
-idempotent ops), and the pipelined ``(op, args)`` scatter.
+framing), the error-reconstruction whitelist, the REP011 retry discipline
+of the one round trip (connect-phase always retriable; after the wire an
+idempotent op is sent at most ``retries + 1`` times, a write once, alone or
+as a scatter leg), and the pipelined ``(op, args)`` scatter.
 """
 
 import socket
@@ -15,8 +16,10 @@ import pytest
 from repro.cluster import BinaryShardClient, BinaryShardServer, LocalShard, ProcessShard
 from repro.cluster.transport import (
     IDEMPOTENT_OPS,
+    POOL_SIZE,
     FrameError,
     _FrameParser,
+    _execute_scatter,
     build_exception,
     describe_exception,
     encode_frame,
@@ -181,33 +184,33 @@ class TestRoundTrip:
         shard.ingest_many({"age": {"insert": [1.0]}})
         assert shard.published("age")["generation"] > before
 
-    def test_ping_answers_without_backend_dispatch(self, client):
-        assert client.call("ping")["status"] == "ok"
+    def test_ping_answers_without_backend_dispatch(self, shard):
+        assert shard._call("ping", {})["status"] == "ok"
 
-    def test_unknown_op_rejected(self, client):
+    def test_unknown_op_rejected(self, shard):
         with pytest.raises(ServiceError, match="unknown shard op"):
-            client.call("shutdown")
+            shard._call("shutdown", {})
 
-    def test_ingest_many_is_the_only_value_op(self, client, shard):
+    def test_ingest_many_is_the_only_value_op(self, shard):
         shard.create("age", "dc", memory_kb=0.5)
         with pytest.raises(ServiceError, match="unknown shard op 'ingest'"):
-            client.call("ingest", {"name": "age", "insert": [1.0]})
+            shard._call("ingest", {"name": "age", "insert": [1.0]})
         assert shard.stats("age")["total_count"] == pytest.approx(0.0)
 
-    def test_estimates_are_not_a_shard_op(self, client, shard):
+    def test_estimates_are_not_a_shard_op(self, shard):
         # The front end answers estimates from the published views it holds.
         shard.create("age", "dc", memory_kb=0.5)
         with pytest.raises(ServiceError, match="unknown shard op 'query'"):
-            client.call("query", {"name": "age", "queries": [{"op": "total"}]})
+            shard._call("query", {"name": "age", "queries": [{"op": "total"}]})
 
-    def test_connection_pool_reuses_sockets(self, client):
-        client.call("ping")
-        connection = client.checkout()
+    def test_connection_pool_reuses_sockets(self, client, shard):
+        shard._call("ping", {})
+        connection = client.checkout_with_retry()
         client.checkin(connection)
-        assert client.checkout() is connection
+        assert client.checkout_with_retry() is connection
         client.checkin(connection)
         for _ in range(5):
-            client.call("ping")
+            shard._call("ping", {})
         # Sequential calls never needed a second connection.
         assert len(client._idle) == 1
 
@@ -223,15 +226,17 @@ class TestRetryDiscipline:
         client = BinaryShardClient(
             "127.0.0.1", port, timeout=1.0, retries=2, retry_backoff=0.01
         )
-        with pytest.raises(OSError):
-            client.call("ingest_many", {"items": {"age": {"insert": [1.0]}}})
+        shard = ProcessShard("shard-0", client)
+        with pytest.raises(ShardUnavailableError) as excinfo:
+            shard._call("ingest_many", {"items": {"age": {"insert": [1.0]}}})
+        assert isinstance(excinfo.value.cause, OSError)
         assert client.transport_stats["connect_retries"] == 3
 
     def test_post_wire_failure_on_write_never_retries(self, server, client, shard):
         shard.create("age", "dc", memory_kb=0.5)
         # Poison the pooled connection: the next send/receive fails after
         # the frame may have reached the wire.
-        connection = client.checkout()
+        connection = client.checkout_with_retry()
         client.checkin(connection)
         connection._sock.close()
         with pytest.raises(ShardUnavailableError):
@@ -243,10 +248,27 @@ class TestRetryDiscipline:
         self, server, client, shard
     ):
         shard.create("age", "dc", memory_kb=0.5)
-        connection = client.checkout()
+        connection = client.checkout_with_retry()
         client.checkin(connection)
         connection._sock.close()
         assert shard.names() == ["age"]  # retried transparently
+
+    def test_a_read_reaches_a_worker_restarted_behind_a_full_pool(self):
+        # The worker restarts on the same port, so every pooled connection
+        # is dead; the first failure drops them all and the re-ask connects.
+        server = BinaryShardServer(LocalShard("shard-0")).start()
+        host, port = server.address
+        client = BinaryShardClient(host, port, retries=2, retry_backoff=0.001)
+        pooled = [client.checkout_with_retry() for _ in range(POOL_SIZE)]
+        for connection in pooled:
+            client.checkin(connection)
+        server.stop()
+        restarted = BinaryShardServer(LocalShard("shard-0"), port=port).start()
+        try:
+            assert ProcessShard("shard-0", client).names() == []
+        finally:
+            restarted.stop()
+            client.close()
 
     def test_idempotent_op_set_is_reads_only(self):
         assert "ingest_many" not in IDEMPOTENT_OPS
@@ -255,12 +277,93 @@ class TestRetryDiscipline:
         assert "drop" not in IDEMPOTENT_OPS
         assert {"names", "published", "stats", "snapshot", "health"} <= IDEMPOTENT_OPS
 
-    def test_client_close_is_idempotent(self, client):
-        client.call("ping")
+    def test_client_close_is_idempotent(self, client, shard):
+        shard._call("ping", {})
         client.close()
         client.close()
         with pytest.raises(FrameError, match="closed"):
-            client.checkout()
+            client.checkout_with_retry()
+
+
+class _ReplyDropper:
+    """A shard endpoint that reads one request frame per connection and
+    closes it unanswered: every send's fate is unknown to the client."""
+
+    def __init__(self) -> None:
+        self.ops: list[str] = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()[:2]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                return  # closed by stop()
+            with sock:
+                parser = _FrameParser()
+                payload = None
+                while payload is None:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    parser.feed(chunk)
+                    payload = parser.pop()
+                if payload is not None:
+                    self.ops.append(payload["op"])
+
+    def stop(self) -> None:
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
+        self._listener.close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+class TestRetryBudget:
+    """One budget: a read goes out at most ``retries + 1`` = 3 times and a
+    write once, whether it is a lone call or one leg of a scatter."""
+
+    @pytest.fixture
+    def dropper(self):
+        endpoint = _ReplyDropper()
+        yield endpoint
+        endpoint.stop()
+
+    @pytest.fixture
+    def dropping_shard(self, dropper):
+        client = BinaryShardClient(*dropper.address, timeout=5.0, retries=2, retry_backoff=0.001)
+        yield ProcessShard("dropping", client)
+        client.close()
+
+    WRITE = ("ingest_many", {"items": {"age": {"insert": [1.0]}}})
+
+    def test_a_lone_read_is_sent_retries_plus_one_times(self, dropper, dropping_shard):
+        with pytest.raises(ShardUnavailableError):
+            dropping_shard._call("published", {"name": "age"})
+        assert dropper.ops == ["published"] * 3
+
+    def test_a_lone_write_is_sent_once(self, dropper, dropping_shard):
+        with pytest.raises(ShardUnavailableError):
+            dropping_shard._call(*self.WRITE)
+        assert dropper.ops == ["ingest_many"]
+
+    @pytest.mark.parametrize(
+        ("leg", "sends"), [(("published", {"name": "age"}), 3), (WRITE, 1)]
+    )
+    def test_a_scatter_leg_keeps_the_same_budget(
+        self, dropper, dropping_shard, shard, leg, sends
+    ):
+        shard.create("age", "dc", memory_kb=0.5)
+        op, args = leg
+        outcomes = _execute_scatter(
+            {"dropping": (dropping_shard, leg), "shard-0": (shard, (op, args))}
+        )
+        assert dropper.ops == [op] * sends
+        ok, error, _ = outcomes["dropping"]
+        assert not ok and isinstance(error, ShardUnavailableError)
+        assert outcomes["shard-0"][0]  # the healthy leg answered
 
 
 class TestPipelinedScatter:
@@ -348,7 +451,7 @@ class TestPipelinedScatter:
 class TestConcurrentClients:
     def test_parallel_calls_share_the_pool(self, server):
         host, port = server.address
-        client = BinaryShardClient(host, port, pool_size=4, retry_backoff=0.01)
+        client = BinaryShardClient(host, port, retry_backoff=0.01)
         shard = ProcessShard("shard-0", client)
         shard.create("age", "dc", memory_kb=0.5)
         errors = []
