@@ -10,16 +10,22 @@ the coordinator holds (not reduced to a budget: it holds the views anyway).
 * :class:`~repro.cluster.router.ShardRouter` /
   :class:`~repro.cluster.router.RangePartition` -- deterministic placement:
   consistent hashing, explicit pins, value-range partitioning;
-* :class:`~repro.cluster.protocol.ShardBackend` with
-  :class:`~repro.cluster.protocol.LocalShard` (in-process store) and
-  :class:`~repro.cluster.transport.ProcessShard` (spawned worker process
-  behind the persistent binary transport) members;
+* the shard protocol, :data:`~repro.cluster.protocol.OPS`: every op a
+  shard serves, declared once with its arguments, and one
+  :func:`~repro.cluster.protocol.dispatch` that runs an ``(op, args)``
+  request on a worker and on an in-process shard alike; its members are
+  :class:`~repro.cluster.protocol.LocalShard` (in-process store, one method
+  per op) and :class:`~repro.cluster.transport.ProcessShard` (spawned
+  worker process behind the persistent binary transport), each a
+  :class:`~repro.cluster.protocol.ShardBackend`, which carries only an id
+  and an incarnation;
 * :class:`~repro.cluster.supervisor.ShardSupervisor` -- spawns each shard as
   its own OS process (own store, own WAL dir, own port), monitors liveness
   and tears the fleet down;
 * :class:`~repro.cluster.coordinator.ClusterCoordinator` -- scatter-gather
-  ingest (one ``(op, args)`` leg per shard, pipelined over process shards),
-  merged global estimates, rebalance / drain;
+  ingest (one ``(op, args)`` leg per shard, pipelined over process shards
+  and dispatched in process over the others, in a mixed fleet too), merged
+  global estimates, rebalance / drain;
 * :class:`~repro.cluster.server.ClusterServer` /
   :class:`~repro.cluster.server.ClusterClient` -- the JSON HTTP face
   (superset of the single-node service API).

@@ -13,7 +13,8 @@ step of ``rebalance``, ``resync`` or ``drain`` -- is an ``(op, args)`` leg,
 the shape the wire carries, run by one leg runner
 (:meth:`ClusterCoordinator._run_legs`): legs to spawned worker processes are
 pipelined (every request frame is written before any reply is read), legs
-to in-process shards run one after another on the calling thread, and every
+to in-process shards go through :func:`~repro.cluster.protocol.dispatch`,
+as a worker serves them, one after another on the calling thread, and every
 leg records ``repro_cluster_fanout_seconds{shard}`` and a ``fanout:<shard>``
 span.  Every value write -- :meth:`ingest`,
 :meth:`ingest_batch` and the buffer replays of rebalance and resync -- takes
@@ -123,9 +124,9 @@ from ..obs.trace import current_trace
 from ..distributed.union import reduce_segments  # noqa: F401
 from ..persistence import histogram_from_dict  # noqa: F401
 from ..service.store import evaluate_queries
-from .protocol import ShardBackend
+from .protocol import ShardBackend, dispatch
 from .router import RangePartition, ShardRouter
-from .transport import try_pipelined_scatter
+from .transport import ProcessShard, try_pipelined_scatter
 
 __all__ = ["ClusterCoordinator"]
 
@@ -298,30 +299,34 @@ class ClusterCoordinator:
     ) -> dict[str, tuple[bool, Any]]:
         """Run one ``(op, args)`` leg per shard: ``{shard_id: (ok, value)}``.
 
-        The one way the coordinator reaches a shard.  When every target is a
-        :class:`~repro.cluster.transport.ProcessShard` the legs are
-        **pipelined**: the calling thread writes every request frame on a
-        persistent connection and then multiplexes the replies.  In-process
-        legs run one after another on the calling thread.  Every leg records
+        The one way the coordinator reaches a shard.  The legs to
+        :class:`~repro.cluster.transport.ProcessShard` members go out in one
+        **pipelined** scatter: the calling thread writes every request frame
+        on a persistent connection and then multiplexes the replies.  The
+        other legs then run one after another on the calling thread through
+        :func:`~repro.cluster.protocol.dispatch`, the function a worker
+        serves its requests with.  Every leg records
         ``repro_cluster_fanout_seconds`` and a ``fanout:<shard>`` span;
         ``value`` is the leg's result, or the exception it raised.
         """
         shards = {shard_id: self.shard(shard_id) for shard_id in legs}
+        remote = {
+            shard_id: shard for shard_id, shard in shards.items() if isinstance(shard, ProcessShard)
+        }
         started = time.perf_counter()
         trace = current_trace()
-        outcomes = try_pipelined_scatter(shards, legs)
-        if outcomes is not None:
-            starts = dict.fromkeys(outcomes, started)
-        else:
-            starts, outcomes = {}, {}
-            for shard_id, shard in shards.items():
-                op, args = legs[shard_id]
-                starts[shard_id] = time.perf_counter()
-                try:
-                    ok, value = True, getattr(shard, op)(**args)
-                except Exception as error:
-                    ok, value = False, error
-                outcomes[shard_id] = (ok, value, time.perf_counter() - starts[shard_id])
+        outcomes = try_pipelined_scatter(remote, legs) or {}
+        starts = dict.fromkeys(outcomes, started)
+        for shard_id, shard in shards.items():
+            if shard_id in remote:
+                continue
+            op, args = legs[shard_id]
+            starts[shard_id] = time.perf_counter()
+            try:
+                ok, value = True, dispatch(shard, op, args)
+            except Exception as error:
+                ok, value = False, error
+            outcomes[shard_id] = (ok, value, time.perf_counter() - starts[shard_id])
         for shard_id, (_, _, elapsed) in outcomes.items():
             if self._m_fanout_seconds is not None:
                 self._m_fanout_seconds.observe(elapsed, shard=shard_id)

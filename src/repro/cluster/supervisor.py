@@ -18,7 +18,7 @@ Lifecycle
   ``incarnation`` set from that line.
 * A monitor thread polls the fleet.  A worker that dies unexpectedly is
   respawned **on the same port** (so the coordinator's persistent clients
-  reconnect transparently), at most ``max_restarts`` times per shard, and
+  reconnect transparently), at most :data:`MAX_RESTARTS` times per shard, and
   its ``ProcessShard`` takes the new worker's incarnation: that change is
   what retires every view the coordinator holds of the dead worker.  A
   restarted worker recovers whatever its WAL holds -- without a WAL it comes
@@ -55,12 +55,13 @@ STARTUP_TIMEOUT_S = 30.0
 #: the workers to exit after SIGTERM before it sends SIGKILL.
 SHUTDOWN_TIMEOUT_S = 5.0
 
-#: Each worker's transport client: seconds per round of a request, its retry
-#: budget (connect attempts per send, and resends of an idempotent op), and
-#: the first backoff between them.
-CLIENT_TIMEOUT_S = 10.0
-CLIENT_RETRIES = 2
-CLIENT_RETRY_BACKOFF_S = 0.05
+#: Respawns per shard, at most, of a worker that exits unexpectedly;
+#: afterwards the shard stays down (reads fail over, ``resync`` heals it
+#: once it is brought back).  0 never respawns.
+MAX_RESTARTS = 3
+
+#: Seconds between the monitor's liveness polls of the fleet.
+POLL_INTERVAL_S = 0.2
 
 
 @dataclass
@@ -75,10 +76,7 @@ class _ShardHandle:
 
 
 def _parse_ready_line(line: str) -> dict[str, str]:
-    fields = dict(
-        part.split("=", 1) for part in line.split()[1:] if "=" in part
-    )
-    return fields
+    return dict(part.split("=", 1) for part in line.split()[1:] if "=" in part)
 
 
 class ShardSupervisor:
@@ -91,11 +89,6 @@ class ShardSupervisor:
     wal_root:
         Optional base directory; shard ``i`` logs under ``wal_root/shard-i``.
         A restarted worker recovers from its own WAL directory.
-    restart:
-        Respawn workers that exit unexpectedly (on their original port).
-    max_restarts:
-        Per-shard cap on automatic respawns; afterwards the shard stays down
-        (reads fail over, ``resync`` heals it once it is brought back).
     profile:
         Run each worker's sampling profiler; its ``profile`` op reports it.
     """
@@ -107,9 +100,6 @@ class ShardSupervisor:
         host: str = "127.0.0.1",
         wal_root: str | Path | None = None,
         wal_fsync: bool = False,
-        restart: bool = True,
-        max_restarts: int = 3,
-        poll_interval: float = 0.2,
         profile: bool = False,
     ) -> None:
         if n_shards < 1:
@@ -118,9 +108,6 @@ class ShardSupervisor:
         self._host = host
         self._wal_root = Path(wal_root) if wal_root is not None else None
         self._wal_fsync = bool(wal_fsync)
-        self._restart = bool(restart)
-        self._max_restarts = int(max_restarts)
-        self._poll_interval = float(poll_interval)
         self._profile = bool(profile)
         self._handles: dict[str, _ShardHandle] = {}
         self._shards: dict[str, ProcessShard] = {}
@@ -256,14 +243,7 @@ class ShardSupervisor:
                 self._handles = {shard_id: self._handles[shard_id] for shard_id in shard_ids}
                 handles = list(self._handles.values())
             for handle in handles:
-                client = BinaryShardClient(
-                    self._host,
-                    handle.port,
-                    timeout=CLIENT_TIMEOUT_S,
-                    retries=CLIENT_RETRIES,
-                    retry_backoff=CLIENT_RETRY_BACKOFF_S,
-                )
-                shard = ProcessShard(handle.shard_id, client)
+                shard = ProcessShard(handle.shard_id, BinaryShardClient(self._host, handle.port))
                 shard.incarnation = handle.incarnation
                 with self._lock:
                     self._shards[handle.shard_id] = shard
@@ -282,7 +262,7 @@ class ShardSupervisor:
     # liveness monitoring
     # ------------------------------------------------------------------
     def _monitor_loop(self) -> None:
-        while not self._closing.wait(self._poll_interval):
+        while not self._closing.wait(POLL_INTERVAL_S):
             with self._lock:
                 handles = list(self._handles.values())
             for handle in handles:
@@ -290,7 +270,7 @@ class ShardSupervisor:
                 if code is None or self._closing.is_set():
                     continue
                 handle.events.append(f"exited with code {code}")
-                if not self._restart or handle.restarts >= self._max_restarts:
+                if handle.restarts >= MAX_RESTARTS:
                     continue
                 handle.restarts += 1
                 try:

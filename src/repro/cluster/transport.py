@@ -5,6 +5,12 @@ another process.  Spawned shard processes (:mod:`repro.cluster.supervisor`)
 speak it over a small pool of **persistent** connections, so no request pays
 a TCP handshake or HTTP head parsing.
 
+Every request is an ``(op, args)`` pair of :data:`~repro.cluster.protocol.OPS`,
+which declares each op once (:data:`IDEMPOTENT_OPS` comes from there).  A
+worker answers ``ping`` itself and every other request with
+:func:`~repro.cluster.protocol.dispatch`, as the coordinator serves its
+in-process legs, so an op the table refuses fails alike in both places.
+
 Frame format
 ------------
 
@@ -39,9 +45,10 @@ machine-checks this file for that shape.
 Non-blocking fan-out
 --------------------
 
-:func:`try_pipelined_scatter` takes the coordinator's fan-out legs in the
-wire's own shape, ``{shard_id: (op, args)}``.  When every target shard is a
-:class:`ProcessShard`, the calling thread writes every request frame
+:func:`try_pipelined_scatter` takes the coordinator's legs to process shards
+in the wire's own shape, ``{shard_id: (op, args)}``; in a mixed fleet the
+coordinator dispatches its other legs in process.  When every target shard
+is a :class:`ProcessShard`, the calling thread writes every request frame
 back-to-back and then multiplexes the replies with :mod:`selectors` -- one
 coordinator thread drives N shard processes, with no thread per shard.  A
 single request (:meth:`ProcessShard._call`, and through it the supervisor's
@@ -75,7 +82,7 @@ from ..exceptions import (
     UnknownAttributeError,
 )
 from ..obs.trace import Trace, current_trace_id, use_trace
-from .protocol import WRITE_OPS, ShardBackend
+from .protocol import IDEMPOTENT_OPS, ShardBackend, dispatch
 
 __all__ = [
     "FrameError",
@@ -107,21 +114,6 @@ MAX_PAYLOAD_BYTES = 1 << 28
 
 #: Idle connections one :class:`BinaryShardClient` keeps open.
 POOL_SIZE = 4
-
-#: Ops whose replies are safe to re-request after an unknown-fate transport
-#: failure: pure reads.  Every write in
-#: :data:`~repro.cluster.protocol.WRITE_OPS` (create, drop, ingest_many,
-#: restore) may have been applied by a shard that lost only its reply --
-#: REP011.
-IDEMPOTENT_OPS = frozenset(
-    {"names", "stats", "stats_all", "snapshot", "health", "published", "ping",
-     "metrics", "profile"}
-)
-
-#: The :class:`~repro.cluster.protocol.ShardBackend` methods a worker serves:
-#: every idempotent read but ``ping`` (the server answers that itself), plus
-#: the writes.  A request's ``args`` are the method's keyword arguments.
-_SHARD_OPS = (IDEMPOTENT_OPS - {"ping"}) | WRITE_OPS
 
 #: Exception classes the wire protocol transports by name.
 _EXCEPTION_TYPES: dict[str, type[Exception]] = {
@@ -430,11 +422,12 @@ class ProcessShard(ShardBackend):
     """A shard served by a spawned process over the binary transport.
 
     The coordinator's scatter (:func:`try_pipelined_scatter`) multiplexes
-    this backend's persistent connections; an individual method call is a
-    scatter of one leg.  Transport failures (after the client's bounded
-    retries) are wrapped into :class:`~repro.exceptions.ShardUnavailableError`
-    carrying this shard's id, so callers can tell "shard down" from "bad
-    request".
+    this backend's persistent connections, and a lone request,
+    :meth:`_call`, is a scatter of one leg; either way a request is an
+    ``(op, args)`` pair of :data:`~repro.cluster.protocol.OPS`.
+    Transport failures (after the client's bounded retries) are wrapped into
+    :class:`~repro.exceptions.ShardUnavailableError` carrying this shard's
+    id, so callers can tell "shard down" from "bad request".
 
     :attr:`incarnation` is the token the worker printed in its readiness
     line.  The :class:`~repro.cluster.supervisor.ShardSupervisor` sets it at
@@ -458,74 +451,18 @@ class ProcessShard(ShardBackend):
             raise value
         return value
 
-    def create(
-        self,
-        name: str,
-        kind: str = "dc",
-        *,
-        memory_kb: float = 1.0,
-        value_unit: float = 1.0,
-        disk_factor: float = 20.0,
-        seed: int = 0,
-        exist_ok: bool = False,
-    ) -> dict[str, Any]:
-        return self._call(
-            "create",
-            {
-                "name": name,
-                "kind": kind,
-                "memory_kb": memory_kb,
-                "value_unit": value_unit,
-                "disk_factor": disk_factor,
-                "seed": seed,
-                "exist_ok": exist_ok,
-            },
-        )
-
-    def drop(self, name: str) -> None:
-        self._call("drop", {"name": name})
-
-    def names(self) -> list[str]:
-        return list(self._call("names", {}))
-
-    def ingest_many(self, items):
-        # One frame for the whole stream; the worker's backend runs the loop.
-        return self._call("ingest_many", {"items": dict(items)})
-
-    def published(self, name: str) -> dict[str, Any]:
-        return self._call("published", {"name": name})
-
-    def stats(self, name: str) -> dict[str, Any]:
-        return self._call("stats", {"name": name})
-
-    def stats_all(self) -> list[dict[str, Any]]:
-        return list(self._call("stats_all", {}))
-
-    def snapshot(self, name: str) -> dict[str, Any]:
-        return self._call("snapshot", {"name": name})
-
-    def restore(self, name, snapshot):
-        return self._call("restore", {"name": name, "snapshot": dict(snapshot)})
-
-    def health(self) -> dict[str, Any]:
-        return self._call("health", {})
-
-    def metrics(self) -> str:
-        return str(self._call("metrics", {}))
-
-    def profile(self) -> dict[str, Any] | None:
-        return self._call("profile", {})
-
 
 # ----------------------------------------------------------------------
 # server side
 # ----------------------------------------------------------------------
 class BinaryShardServer:
-    """Serve one :class:`ShardBackend` over the binary frame protocol.
+    """Serve one backend over the binary frame protocol.
 
-    One daemon thread accepts; each persistent connection gets its own daemon
-    thread (a coordinator holds a handful of connections per shard, not one
-    per request, so the thread count is bounded by peers, not load).
+    The server answers ``ping`` itself and every other request with
+    :func:`~repro.cluster.protocol.dispatch`.  One daemon thread accepts;
+    each persistent connection gets its own daemon thread (a coordinator
+    holds a handful of connections per shard, not one per request, so the
+    thread count is bounded by peers, not load).
     """
 
     def __init__(
@@ -599,16 +536,11 @@ class BinaryShardServer:
         try:
             if op == "ping":
                 result: Any = {"status": "ok", "shard": self.backend.shard_id}
-            elif not isinstance(op, str) or op not in _SHARD_OPS:
-                raise ServiceError(f"unknown shard op {op!r}")
-            elif not isinstance(args, Mapping):
-                raise ServiceError("shard op args must be a JSON object")
             else:
-                method = getattr(self.backend, op)
                 # Re-activate the caller's trace so shard-side spans and logs
                 # carry the same id the coordinator stamped on the request.
                 with use_trace(Trace(trace_id) if isinstance(trace_id, str) else None):
-                    result = method(**{str(key): value for key, value in args.items()})
+                    result = dispatch(self.backend, op, args)
             return {"id": request_id, "ok": True, "result": result}
         except Exception as error:
             return {"id": request_id, "ok": False, "error": describe_exception(error)}

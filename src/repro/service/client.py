@@ -20,7 +20,9 @@ a kept connection, two checks decide whether it is reused:
 Otherwise the connection is dropped and a new one is opened, *before*
 anything is written.  An answer that will close the connection
 (``Connection: close``, HTTP/1.0) is never reused, and a connection whose
-request failed is discarded.
+request failed is discarded.  :meth:`StatisticsClient.close` closes every
+connection the client keeps, on every thread; a later request opens a new
+one.
 
 Attribute names are URL-escaped with :func:`urllib.parse.quote` (``safe=''``),
 so names containing ``/``, spaces or ``%`` route correctly; the server
@@ -59,8 +61,10 @@ __all__ = ["StatisticsClient"]
 REUSE_IDLE_LIMIT_S = EDGE_IDLE_TIMEOUT_S / 2
 
 
-def _nothing_to_read(sock: socket.socket, timeout: float | None) -> bool:
+def _nothing_to_read(sock: socket.socket | None, timeout: float | None) -> bool:
     """The zero-timeout readability probe: ``True`` when ``sock`` is open and silent."""
+    if sock is None:  # closed by StatisticsClient.close()
+        return False
     try:
         sock.settimeout(0.0)
         # EOF (the server closed) or bytes no request asked for.
@@ -106,15 +110,31 @@ class StatisticsClient:
         self.retry_backoff = float(retry_backoff)
         # Per thread: ``connection`` (kept, or absent) and ``idle_since``.
         self._kept = threading.local()
+        # Every connection opened and not closed yet, on any thread, for close().
+        self._open: set[HTTPConnection] = set()
+        self._open_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every thread's kept connection (idempotent); a later request opens a new one."""
+        with self._open_lock:
+            connections, self._open = self._open, set()
+        for connection in connections:
+            connection.close()
 
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
+    def _discard(self, connection: HTTPConnection) -> None:
+        connection.close()
+        with self._open_lock:
+            self._open.discard(connection)
+
     def _reusable_connection(self) -> HTTPConnection | None:
         """Take this thread's kept connection if it is safe to write to.
 
-        A connection that fails a check is closed here, before anything is
-        written, so replacing it is a connect-phase step.
+        A connection that fails a check, or that :meth:`close` closed, is
+        dropped here, before anything is written, so replacing it is a
+        connect-phase step.
         """
         connection = getattr(self._kept, "connection", None)
         if connection is None:
@@ -123,7 +143,7 @@ class StatisticsClient:
         idle_s = time.monotonic() - self._kept.idle_since
         if idle_s < REUSE_IDLE_LIMIT_S and _nothing_to_read(connection.sock, self.timeout):
             return connection
-        connection.close()
+        self._discard(connection)
         return None
 
     def _raw_request(
@@ -154,12 +174,14 @@ class StatisticsClient:
                 except OSError as error:
                     last_error = error
                     continue
+                with self._open_lock:
+                    self._open.add(connection)
             try:
                 connection.request(method, path, body=body, headers=headers)
                 response = connection.getresponse()
                 raw = response.read()
             except (OSError, HTTPException) as error:
-                connection.close()
+                self._discard(connection)
                 # The request may or may not have been processed; only an
                 # idempotent GET can be retried without double-applying.
                 if not idempotent:
@@ -167,7 +189,7 @@ class StatisticsClient:
                 last_error = error
                 continue
             if response.will_close:
-                connection.close()
+                self._discard(connection)
             else:
                 self._kept.connection = connection
                 self._kept.idle_since = time.monotonic()

@@ -65,6 +65,7 @@ import json
 import socket
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, unquote, urlparse
@@ -193,8 +194,14 @@ class EdgeHandler(BaseHTTPRequestHandler):
         self._tracked = self.edge._track(self.connection)
 
     def handle_one_request(self) -> None:
-        self.request_deadline = None
-        super().handle_one_request()
+        self.request_deadline = self.command = self._status_sent = None
+        try:
+            super().handle_one_request()
+        finally:
+            if self._status_sent is None and self.request_deadline is not None:
+                # Cut off in its request line or headers: no answer, status 0,
+                # as a request cut off in its body is counted.
+                self._count_unhandled(0)
 
     def parse_request(self) -> bool:
         if self.request_deadline is None:
@@ -220,6 +227,34 @@ class EdgeHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         """Write no per-request line to stderr; the request metrics count them."""
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """Refuse what the base class will not serve (a malformed request line,
+        an overlong line, an unsupported method) with the edge's JSON body,
+        closing the connection; counted once under its route, or ``/other``."""
+        if not self.command:
+            # The request line did not parse: answer it as HTTP/1.1, not 0.9.
+            self.request_version = self.protocol_version
+        self.close_connection = True
+        self._trace_id = None
+        self._status_sent = 0
+        try:
+            self._send_json(code, {"error": message or HTTPStatus(code).phrase})
+        finally:
+            self._count_unhandled(self._status_sent)
+
+    def _count_unhandled(self, status: int) -> None:
+        """Count a request the edge ended before :meth:`_handle` began."""
+        observer = self.edge.observer
+        if observer is None:
+            return
+        observer.finish(
+            None,
+            method=self.command or "",
+            route=route_label(self._route()) if self.command else "/other",
+            status=status,
+            elapsed_s=time.monotonic() - (self.request_deadline - self.timeout),
+        )
 
     # ------------------------------------------------------------------
     # plumbing

@@ -16,11 +16,12 @@ from repro.cluster import (
     ProcessShard,
     ShardRouter,
 )
+from repro.cluster import transport
 from repro.cluster.coordinator import INGEST_LEG_VALUES, _stream_legs
 from repro.core.base import SnapshotHistogram
 from repro.core.segment_view import SegmentView
 from repro.distributed.union import superimpose
-from repro.exceptions import ShardUnavailableError
+from repro.exceptions import ServiceError, ShardUnavailableError
 from repro.obs import MetricsRegistry
 from repro.persistence import histogram_from_dict
 from repro.service import DurabilityConfig
@@ -595,6 +596,113 @@ class TestMoveLegsAreMeasured:
         # a names leg on each shard, then snapshot on the source and restore
         # on the target
         assert legs == {source: 2, target: 2}
+
+
+class TestMixedFleet:
+    """One ``LocalShard`` and one ``ProcessShard`` at replication factor 2
+    answer as a uniform fleet does, and each leg takes its shard's path:
+    process legs through the pipelined scatter, the others through the
+    dispatch function a worker serves its requests with."""
+
+    @pytest.fixture
+    def fleets(self):
+        """``(mixed, uniform)`` coordinators with their registries."""
+        stores = [HistogramStore() for _ in range(4)]
+        server = BinaryShardServer(LocalShard("shard-1", stores[1])).start()
+        remote = ProcessShard("shard-1", BinaryShardClient(*server.address))
+        remote.incarnation = stores[1].incarnation  # as the supervisor sets it
+        members = [
+            [LocalShard("shard-0", stores[0]), remote],
+            [LocalShard("shard-0", stores[2]), LocalShard("shard-1", stores[3])],
+        ]
+        try:
+            yield [
+                ClusterCoordinator(
+                    shards,
+                    router=ShardRouter(["shard-0", "shard-1"], replication_factor=2),
+                    metrics=MetricsRegistry(),
+                )
+                for shards in members
+            ]
+        finally:
+            remote.client.close()
+            server.stop()
+            for store in stores:
+                store.close()
+
+    @staticmethod
+    def answers(coordinator):
+        """The same writes, then every answer a read, listing or heal gives."""
+        coordinator.create("age", "dc", memory_kb=0.5)
+        coordinator.create("hot", "dvo", memory_kb=0.5, partition_boundaries=[500.0])
+        writes = [
+            coordinator.ingest("age", insert=[float(v % 90) for v in range(900)]),
+            coordinator.ingest_batch(
+                {
+                    "hot": {
+                        "insert": [float(v) for v in range(1000)],
+                        "delete": [float(v) for v in range(0, 1000, 7)],
+                    }
+                }
+            ),
+        ]
+        reads = []
+        for _ in range(2):  # fetched, then held
+            reads.append(coordinator.query("age", [{"op": "total"}, {"op": "equal", "value": 4.0}]))
+            reads.append(
+                coordinator.query("hot", [{"op": "total"}, {"op": "range", "low": 250, "high": 750}])
+            )
+        listings = [coordinator.stats(), coordinator.names(), coordinator.attribute_stats("hot")]
+        heals = [coordinator.resync("shard-1"), coordinator.resync("shard-0")]
+        after = [coordinator.query(name, [{"op": "total"}]) for name in ("age", "hot")]
+        views = coordinator.metrics.get("repro_cluster_view_reads_total")
+        counts = {outcome: views.value(outcome=outcome) for outcome in ("held", "fetched")}
+        return writes, reads, listings, heals, after, counts
+
+    def test_a_mixed_fleet_answers_as_a_uniform_one(self, fleets):
+        mixed, uniform = fleets
+        answers = self.answers(mixed)
+        assert answers == self.answers(uniform)
+        writes, reads, listings, heals, after, counts = answers
+        assert reads[2]["results"][0] == pytest.approx(900.0)
+        assert reads[3]["merged"] and reads[3]["results"][0] == pytest.approx(1000.0 - 143.0)
+        assert listings[1] == ["age", "hot"]
+        # ``hot``'s two pieces sit one on each shard: nothing to heal them from.
+        assert [(heal["resynced"], heal["unrecoverable"]) for heal in heals] == [
+            ({"age": "shard-0"}, ["hot"]),
+            ({"age": "shard-1"}, ["hot"]),
+        ]
+        assert [answer["results"][0] for answer in after] == [reads[2]["results"][0], 857.0]
+        # Both attributes fetched once, then held; the resync fetches ``age`` again.
+        assert counts == {"held": 3.0, "fetched": 3.0}
+
+    def test_a_replicated_write_sends_its_process_leg_through_the_scatter(
+        self, fleets, monkeypatch
+    ):
+        mixed, _ = fleets
+        mixed.create("age", "dc", memory_kb=0.5)
+        scattered = []
+        execute_scatter = transport._execute_scatter
+
+        def counting(legs):
+            scattered.append({shard_id: leg[0] for shard_id, (_, leg) in legs.items()})
+            return execute_scatter(legs)
+
+        monkeypatch.setattr(transport, "_execute_scatter", counting)
+        mixed.ingest("age", insert=[1.0, 2.0, 3.0])
+        assert scattered == [{"shard-1": "ingest_many"}]
+        assert mixed.total_count("age") == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("shard_id", ["shard-0", "shard-1"], ids=["local", "process"])
+    def test_an_op_outside_the_table_is_refused_alike(self, fleets, shard_id):
+        mixed, _ = fleets
+        mixed.create("age", "dc", memory_kb=0.5)
+        with pytest.raises(ServiceError, match="unknown shard op 'query'"):
+            mixed._ask(shard_id, "query", {"name": "age", "queries": [{"op": "total"}]})
+        with pytest.raises(ServiceError, match="takes no arguments \\['kind'\\]"):
+            mixed._ask(shard_id, "stats", {"name": "age", "kind": "dc"})
+        with pytest.raises(ServiceError, match="missing arguments \\['snapshot'\\]"):
+            mixed._ask(shard_id, "restore", {"name": "age"})
 
 
 class TestClusterStats:

@@ -6,11 +6,13 @@ both, so the contract cannot drift between them.
 """
 
 import contextlib
+import gc
 import http.client
 import json
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -123,6 +125,44 @@ class TestEdgeContract:
             assert connection.getresponse().status == 400
         finally:
             connection.close()
+
+    @pytest.mark.parametrize(
+        ("request_bytes", "status", "route"),
+        [
+            (b"PATCH /health HTTP/1.1\r\nHost: edge\r\n\r\n", 501, "/health"),
+            (
+                b"GET /health HTTP/1.1\r\nHost: edge\r\nX-Long: %s\r\n\r\n" % (b"x" * (70 << 10)),
+                431,
+                "/health",
+            ),
+            # no request line parsed: no route either
+            (b"GARBAGE\r\n\r\n", 400, "/other"),
+        ],
+        ids=["unsupported-method", "header-line-too-long", "bad-request-line"],
+    )
+    def test_a_request_the_edge_refuses_gets_a_json_answer_and_is_counted_once(
+        self, make_server, request_bytes, status, route
+    ):
+        registry = MetricsRegistry()
+        with make_server(metrics=registry) as running:
+            received = b""
+            with socket.create_connection(running.address, timeout=2.0) as sock:
+                sock.sendall(request_bytes)
+                # Read to the end: the edge closes once the request is counted.
+                with contextlib.suppress(ConnectionResetError):
+                    while chunk := sock.recv(65536):
+                        received += chunk
+            counted = [
+                line
+                for line in registry.render().splitlines()
+                if line.startswith("repro_http_requests_total{")
+            ]
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status)
+        assert b"Content-Type: application/json" in head
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]
+        assert counted == [f'repro_http_requests_total{{route="{route}",status="{status}"}} 1']
 
     def test_reused_connection_does_not_stall(self, server):
         # One keep-alive connection, 50 sequential requests: a delayed-ACK
@@ -308,10 +348,10 @@ class TestKeptConnections:
     @pytest.mark.parametrize(
         ("opening", "route"),
         [
-            # the body trickles: a request that got no answer, status 0
+            # the body or the headers trickle: a request that got no answer,
+            # counted under its route with status 0
             (b"POST /attributes HTTP/1.1\r\nHost: edge\r\nContent-Length: 100\r\n\r\n{", "/attributes"),
-            # the headers trickle: no request was parsed, none is counted
-            (b"GET /health HTTP/1.1\r\nHost: edge\r\nX-Slow: ", None),
+            (b"GET /health HTTP/1.1\r\nHost: edge\r\nX-Slow: ", "/health"),
         ],
         ids=["body", "headers"],
     )
@@ -342,9 +382,9 @@ class TestKeptConnections:
             # deadline 0.5 s + close linger 0.1 s + one 0.2 s trickle step,
             # with slack for a loaded host; without a deadline: 3 s and alive
             assert released_after < 1.5
-            counted = {"/attributes": 1, None: 0}[route]
-            assert requests.value(route="/attributes", status="0") == counted
-            assert requests.value(route="/health", status="0") == 0
+            other = {"/attributes": "/health", "/health": "/attributes"}[route]
+            assert requests.value(route=route, status="0") == 1
+            assert requests.value(route=other, status="0") == 0
 
     def test_the_request_deadline_spares_a_kept_alive_client(self, make_server, monkeypatch):
         # Requests 0.1 s apart on one connection for three deadlines' time:
@@ -355,13 +395,16 @@ class TestKeptConnections:
         connections = registry.counter("repro_http_connections_total", "")
         with make_server(metrics=registry) as running:
             client = StatisticsClient(*running.address, retries=0)
-            client.create("age", "dc", memory_kb=0.5)
-            started = time.monotonic()
-            while time.monotonic() - started < 1.5:
-                client.ingest("age", insert=[1.0, 2.0])
-                assert client.health()["status"] == "ok"
-                time.sleep(0.1)
-            assert connections.value() == 1
+            try:
+                client.create("age", "dc", memory_kb=0.5)
+                started = time.monotonic()
+                while time.monotonic() - started < 1.5:
+                    client.ingest("age", insert=[1.0, 2.0])
+                    assert client.health()["status"] == "ok"
+                    time.sleep(0.1)
+                assert connections.value() == 1
+            finally:
+                client.close()
 
     def test_client_pausing_past_the_timeout_reconnects(self, make_server, monkeypatch):
         # The client's reuse limit is half the edge's timeout; patch both.
@@ -371,11 +414,44 @@ class TestKeptConnections:
         connections = registry.counter("repro_http_connections_total", "")
         with make_server(metrics=registry) as running:
             client = StatisticsClient(*running.address, retries=0)
-            client.create("age", "dc", memory_kb=0.5)
-            time.sleep(0.6)
-            client.ingest("age", insert=[1.0, 2.0, 3.0])
-            assert _total(running, "age") == 3
-            assert connections.value() == 2
+            try:
+                client.create("age", "dc", memory_kb=0.5)
+                time.sleep(0.6)
+                client.ingest("age", insert=[1.0, 2.0, 3.0])
+                assert _total(running, "age") == 3
+                assert connections.value() == 2
+            finally:
+                client.close()
+
+    def test_close_closes_the_connection_of_every_thread(self, make_server):
+        with make_server() as running, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            client = StatisticsClient(*running.address)
+            ports = []
+
+            def use():
+                assert client.health()["status"] == "ok"
+                ports.append(client._kept.connection.sock.getsockname()[1])
+
+            use()
+            worker = threading.Thread(target=use)
+            worker.start()
+            worker.join()
+            client.close()
+            client.close()  # idempotent
+            # A later request simply opens a new connection.
+            use()
+            client.close()
+            del client, worker
+            gc.collect()
+        assert len(set(ports)) == 3
+        unclosed = [
+            str(warning.message)
+            for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+            and any(f"laddr=('127.0.0.1', {port})" in str(warning.message) for port in ports)
+        ]
+        assert unclosed == []
 
     @pytest.mark.parametrize("kind", ["StatisticsServer", "ClusterServer"])
     def test_acknowledged_writes_survive_stop(self, kind, tmp_path):

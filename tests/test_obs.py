@@ -342,8 +342,9 @@ class TestWorkerMetrics:
         # The edge's own series stay unlabelled beside the workers'.
         assert "repro_process_threads" in samples
 
-    def test_metrics_answer_with_a_worker_down(self):
-        with ShardSupervisor(2, restart=False) as supervisor:
+    def test_metrics_answer_with_a_worker_down(self, monkeypatch):
+        monkeypatch.setattr("repro.cluster.supervisor.MAX_RESTARTS", 0)
+        with ShardSupervisor(2) as supervisor:
             with self._serve(supervisor) as server:
                 os.kill(supervisor.pid("shard-1"), signal.SIGKILL)
                 deadline = time.monotonic() + 10.0

@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.cluster import ClusterCoordinator, ShardRouter, ShardSupervisor
+from repro.cluster import supervisor as supervisor_module
 from repro.exceptions import ShardUnavailableError, UnknownAttributeError
 from repro.obs import MetricsRegistry
 
@@ -32,11 +33,15 @@ def _values(n, modulus=500):
 
 
 @pytest.fixture
-def fleet(tmp_path):
+def fast_polls(monkeypatch):
+    """The supervisor notices a dead worker within 0.1 s."""
+    monkeypatch.setattr(supervisor_module, "POLL_INTERVAL_S", 0.1)
+
+
+@pytest.fixture
+def fleet(tmp_path, fast_polls):
     """3 spawned shards with per-shard WALs, rf=2, replica reads on."""
-    supervisor = ShardSupervisor(
-        3, wal_root=tmp_path / "wal", restart=True, poll_interval=0.1
-    )
+    supervisor = ShardSupervisor(3, wal_root=tmp_path / "wal")
     shards = supervisor.start()
     router = ShardRouter([s.shard_id for s in shards], replication_factor=2)
     coordinator = ClusterCoordinator(shards, router=router, replica_reads=True)
@@ -113,17 +118,17 @@ class TestKillNineFailover:
         coordinator.ingest("age", insert=_values(1500))
         primary = coordinator.router.replicas_for("age")[0]
         shard = coordinator.shard(primary)
-        snapshot_before = shard.snapshot("age")
+        snapshot_before = shard._call("snapshot", {"name": "age"})
 
         os.kill(supervisor.pid(primary), signal.SIGKILL)
         supervisor.wait_until_alive(primary, timeout=30.0)
         # The respawned worker replayed its own WAL: same state, bit for bit.
-        assert shard.snapshot("age") == snapshot_before
+        assert shard._call("snapshot", {"name": "age"}) == snapshot_before
 
-    def test_resync_heals_a_wiped_replica_bit_identically(self, tmp_path):
+    def test_resync_heals_a_wiped_replica_bit_identically(self, fast_polls):
         # No WAL for the victim's data to survive on: a respawned worker
         # comes back empty and only resync can heal it.
-        supervisor = ShardSupervisor(3, restart=True, poll_interval=0.1)
+        supervisor = ShardSupervisor(3)
         shards = supervisor.start()
         router = ShardRouter([s.shard_id for s in shards], replication_factor=2)
         coordinator = ClusterCoordinator(shards, router=router, replica_reads=True)
@@ -131,26 +136,25 @@ class TestKillNineFailover:
             coordinator.create("age", "dc", memory_kb=0.5)
             coordinator.ingest("age", insert=_values(2500))
             primary_id, follower_id = coordinator.router.replicas_for("age")
-            reference = coordinator.shard(primary_id).snapshot("age")
+            reference = coordinator.shard(primary_id)._call("snapshot", {"name": "age"})
 
             os.kill(supervisor.pid(follower_id), signal.SIGKILL)
             supervisor.wait_until_alive(follower_id, timeout=30.0)
             # Respawned without durable state: the attribute is gone.
-            assert coordinator.shard(follower_id).names() == []
+            assert coordinator.shard(follower_id)._call("names", {}) == []
 
             healed = coordinator.resync(follower_id)
             assert "age" in healed["resynced"]
-            healed_snapshot = coordinator.shard(follower_id).snapshot("age")
+            healed_snapshot = coordinator.shard(follower_id)._call("snapshot", {"name": "age"})
             ref = {k: v for k, v in reference.items() if k != "generation"}
             got = {k: v for k, v in healed_snapshot.items() if k != "generation"}
             assert got == ref
         finally:
             supervisor.close()
 
-    def test_writes_surface_unavailable_when_all_replicas_down(self, tmp_path):
-        supervisor = ShardSupervisor(
-            2, wal_root=tmp_path / "wal", restart=False
-        )
+    def test_writes_surface_unavailable_when_all_replicas_down(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "MAX_RESTARTS", 0)
+        supervisor = ShardSupervisor(2, wal_root=tmp_path / "wal")
         shards = supervisor.start()
         router = ShardRouter([s.shard_id for s in shards], replication_factor=1)
         coordinator = ClusterCoordinator(shards, router=router)
@@ -170,14 +174,10 @@ class TestKillNineFailover:
 
 
 class TestRestartCap:
-    def test_restarts_stop_at_the_cap(self, tmp_path):
-        supervisor = ShardSupervisor(
-            1,
-            wal_root=tmp_path / "wal",
-            restart=True,
-            max_restarts=1,
-            poll_interval=0.05,
-        )
+    def test_restarts_stop_at_the_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "MAX_RESTARTS", 1)
+        monkeypatch.setattr(supervisor_module, "POLL_INTERVAL_S", 0.05)
+        supervisor = ShardSupervisor(1, wal_root=tmp_path / "wal")
         supervisor.start()
         try:
             shard_id = supervisor.shard_ids[0]
@@ -210,10 +210,10 @@ class TestHeldViewsAcrossKillNine:
             time.sleep(0.05)
         supervisor.wait_until_alive(shard.shard_id, timeout=30.0)
 
-    def test_with_a_wal_the_view_is_fetched_once_more_and_the_total_holds(self, tmp_path):
-        supervisor = ShardSupervisor(
-            2, wal_root=tmp_path / "wal", restart=True, poll_interval=0.1
-        )
+    def test_with_a_wal_the_view_is_fetched_once_more_and_the_total_holds(
+        self, tmp_path, fast_polls
+    ):
+        supervisor = ShardSupervisor(2, wal_root=tmp_path / "wal")
         shards = supervisor.start()
         registry = MetricsRegistry()
         router = ShardRouter([s.shard_id for s in shards], replication_factor=2)
@@ -236,8 +236,8 @@ class TestHeldViewsAcrossKillNine:
         finally:
             supervisor.close()
 
-    def test_without_a_wal_no_read_after_the_respawn_uses_the_dead_view(self):
-        supervisor = ShardSupervisor(2, restart=True, poll_interval=0.1)
+    def test_without_a_wal_no_read_after_the_respawn_uses_the_dead_view(self, fast_polls):
+        supervisor = ShardSupervisor(2)
         shards = supervisor.start()
         coordinator = ClusterCoordinator(shards)
         try:
@@ -254,9 +254,9 @@ class TestHeldViewsAcrossKillNine:
                 coordinator.total_count("age")
             # Re-seeded behind the coordinator, back at the dead view's
             # generation: only the incarnation tells the two apart.
-            shard.create("age", "dc", memory_kb=0.5)
-            shard.ingest_many({"age": {"insert": [700.0] * 5}})
-            assert shard.published("age")["generation"] == 1
+            shard._call("create", {"name": "age", "kind": "dc", "memory_kb": 0.5})
+            shard._call("ingest_many", {"items": {"age": {"insert": [700.0] * 5}}})
+            assert shard._call("published", {"name": "age"})["generation"] == 1
             assert coordinator.total_count("age") == pytest.approx(5.0)
         finally:
             supervisor.close()

@@ -134,23 +134,25 @@ class TestErrorReconstruction:
 
 class TestRoundTrip:
     def test_create_ingest_query_stats(self, shard):
-        shard.create("age", "dc", memory_kb=0.5)
-        shard.ingest_many({"age": {"insert": [float(v % 50) for v in range(500)]}})
-        stats = shard.stats("age")
+        shard._call("create", {"name": "age", "kind": "dc", "memory_kb": 0.5})
+        values = [float(v % 50) for v in range(500)]
+        shard._call("ingest_many", {"items": {"age": {"insert": values}}})
+        stats = shard._call("stats", {"name": "age"})
         assert stats["total_count"] == pytest.approx(500.0)
-        view = SegmentView.from_wire(shard.published("age")["view"])
+        view = SegmentView.from_wire(shard._call("published", {"name": "age"})["view"])
         assert view.range_count(0.0, 50.0) == pytest.approx(500.0, rel=0.05)
-        assert shard.names() == ["age"]
-        assert shard.health()["status"] == "ok"
+        assert shard._call("names", {}) == ["age"]
+        assert shard._call("health", {})["status"] == "ok"
 
     def test_snapshot_restore_bit_identical(self, shard):
-        shard.create("age", "dc", memory_kb=0.5)
-        shard.ingest_many({"age": {"insert": [float(v % 90) for v in range(700)]}})
-        snapshot = shard.snapshot("age")
-        shard.drop("age")
-        shard.create("age", "dc", memory_kb=0.5)
-        shard.restore("age", snapshot)
-        restored = shard.snapshot("age")
+        shard._call("create", {"name": "age", "kind": "dc", "memory_kb": 0.5})
+        values = [float(v % 90) for v in range(700)]
+        shard._call("ingest_many", {"items": {"age": {"insert": values}}})
+        snapshot = shard._call("snapshot", {"name": "age"})
+        shard._call("drop", {"name": "age"})
+        shard._call("create", {"name": "age", "kind": "dc", "memory_kb": 0.5})
+        shard._call("restore", {"name": "age", "snapshot": snapshot})
+        restored = shard._call("snapshot", {"name": "age"})
         # Identical state; only the restored attribute's own mutation counter
         # differs (create + restore each bump it).
         assert {k: v for k, v in restored.items() if k != "generation"} == {
@@ -158,10 +160,11 @@ class TestRoundTrip:
         }
 
     def test_ingest_many_applies_a_stream_in_one_frame(self, server, shard):
-        shard.create("a", "dc", memory_kb=0.5)
-        shard.create("b", "dc", memory_kb=0.5)
-        counts = shard.ingest_many(
-            {"a": {"insert": [1.0, 2.0]}, "b": {"insert": [3.0], "delete": [3.0]}}
+        shard._call("create", {"name": "a", "kind": "dc", "memory_kb": 0.5})
+        shard._call("create", {"name": "b", "kind": "dc", "memory_kb": 0.5})
+        counts = shard._call(
+            "ingest_many",
+            {"items": {"a": {"insert": [1.0, 2.0]}, "b": {"insert": [3.0], "delete": [3.0]}}},
         )
         token = server.backend.incarnation
         assert counts == {
@@ -170,19 +173,21 @@ class TestRoundTrip:
             "versions": {"a": [token, 1], "b": [token, 2]},
         }
         with pytest.raises(UnknownAttributeError):
-            shard.ingest_many({"b": {"insert": [4.0]}, "ghost": {"insert": [5.0]}})
-        assert shard.stats("b")["total_count"] == pytest.approx(1.0)
+            shard._call(
+                "ingest_many", {"items": {"b": {"insert": [4.0]}, "ghost": {"insert": [5.0]}}}
+            )
+        assert shard._call("stats", {"name": "b"})["total_count"] == pytest.approx(1.0)
 
     def test_application_error_crosses_the_wire(self, shard):
         with pytest.raises(UnknownAttributeError) as excinfo:
-            shard.stats("missing")
+            shard._call("stats", {"name": "missing"})
         assert excinfo.value.name == "missing"
 
     def test_generation_advances(self, shard):
-        shard.create("age", "dc", memory_kb=0.5)
-        before = shard.published("age")["generation"]
-        shard.ingest_many({"age": {"insert": [1.0]}})
-        assert shard.published("age")["generation"] > before
+        shard._call("create", {"name": "age", "kind": "dc", "memory_kb": 0.5})
+        before = shard._call("published", {"name": "age"})["generation"]
+        shard._call("ingest_many", {"items": {"age": {"insert": [1.0]}}})
+        assert shard._call("published", {"name": "age"})["generation"] > before
 
     def test_ping_answers_without_backend_dispatch(self, shard):
         assert shard._call("ping", {})["status"] == "ok"
@@ -192,14 +197,14 @@ class TestRoundTrip:
             shard._call("shutdown", {})
 
     def test_ingest_many_is_the_only_value_op(self, shard):
-        shard.create("age", "dc", memory_kb=0.5)
+        shard._call("create", {"name": "age", "kind": "dc", "memory_kb": 0.5})
         with pytest.raises(ServiceError, match="unknown shard op 'ingest'"):
             shard._call("ingest", {"name": "age", "insert": [1.0]})
-        assert shard.stats("age")["total_count"] == pytest.approx(0.0)
+        assert shard._call("stats", {"name": "age"})["total_count"] == pytest.approx(0.0)
 
     def test_estimates_are_not_a_shard_op(self, shard):
         # The front end answers estimates from the published views it holds.
-        shard.create("age", "dc", memory_kb=0.5)
+        shard._call("create", {"name": "age", "kind": "dc", "memory_kb": 0.5})
         with pytest.raises(ServiceError, match="unknown shard op 'query'"):
             shard._call("query", {"name": "age", "queries": [{"op": "total"}]})
 
@@ -233,25 +238,25 @@ class TestRetryDiscipline:
         assert client.transport_stats["connect_retries"] == 3
 
     def test_post_wire_failure_on_write_never_retries(self, server, client, shard):
-        shard.create("age", "dc", memory_kb=0.5)
+        shard._call("create", {"name": "age", "kind": "dc", "memory_kb": 0.5})
         # Poison the pooled connection: the next send/receive fails after
         # the frame may have reached the wire.
         connection = client.checkout_with_retry()
         client.checkin(connection)
         connection._sock.close()
         with pytest.raises(ShardUnavailableError):
-            shard.ingest_many({"age": {"insert": [2.0]}})
+            shard._call("ingest_many", {"items": {"age": {"insert": [2.0]}}})
         # No silent replay happened: the value was never applied.
-        assert shard.stats("age")["total_count"] == pytest.approx(0.0)
+        assert shard._call("stats", {"name": "age"})["total_count"] == pytest.approx(0.0)
 
     def test_post_wire_failure_on_read_retries_on_fresh_connection(
         self, server, client, shard
     ):
-        shard.create("age", "dc", memory_kb=0.5)
+        shard._call("create", {"name": "age", "kind": "dc", "memory_kb": 0.5})
         connection = client.checkout_with_retry()
         client.checkin(connection)
         connection._sock.close()
-        assert shard.names() == ["age"]  # retried transparently
+        assert shard._call("names", {}) == ["age"]  # retried transparently
 
     def test_a_read_reaches_a_worker_restarted_behind_a_full_pool(self):
         # The worker restarts on the same port, so every pooled connection
@@ -265,7 +270,7 @@ class TestRetryDiscipline:
         server.stop()
         restarted = BinaryShardServer(LocalShard("shard-0"), port=port).start()
         try:
-            assert ProcessShard("shard-0", client).names() == []
+            assert ProcessShard("shard-0", client)._call("names", {}) == []
         finally:
             restarted.stop()
             client.close()
@@ -355,7 +360,7 @@ class TestRetryBudget:
     def test_a_scatter_leg_keeps_the_same_budget(
         self, dropper, dropping_shard, shard, leg, sends
     ):
-        shard.create("age", "dc", memory_kb=0.5)
+        shard._call("create", {"name": "age", "kind": "dc", "memory_kb": 0.5})
         op, args = leg
         outcomes = _execute_scatter(
             {"dropping": (dropping_shard, leg), "shard-0": (shard, (op, args))}
@@ -453,13 +458,14 @@ class TestConcurrentClients:
         host, port = server.address
         client = BinaryShardClient(host, port, retry_backoff=0.01)
         shard = ProcessShard("shard-0", client)
-        shard.create("age", "dc", memory_kb=0.5)
+        shard._call("create", {"name": "age", "kind": "dc", "memory_kb": 0.5})
         errors = []
 
         def worker(base):
             try:
                 for i in range(10):
-                    shard.ingest_many({"age": {"insert": [float(base * 100 + i)]}})
+                    values = [float(base * 100 + i)]
+                    shard._call("ingest_many", {"items": {"age": {"insert": values}}})
             except Exception as error:  # noqa: BLE001 - the assertion
                 errors.append(error)
 
@@ -469,5 +475,5 @@ class TestConcurrentClients:
         for thread in threads:
             thread.join(timeout=60)
         assert errors == []
-        assert shard.stats("age")["total_count"] == pytest.approx(40.0)
+        assert shard._call("stats", {"name": "age"})["total_count"] == pytest.approx(40.0)
         client.close()
